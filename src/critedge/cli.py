@@ -18,7 +18,6 @@ import numpy as np
 
 from . import spectra
 from .criticality import verify_criticality
-from .dyson import flow_scalings
 from .errors import ConfigError, CritEdgeError, ZeroEigenvalue
 from .flow import (
     FlowConfig,
@@ -131,11 +130,21 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+_READ_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError)
+
+
 def _load_spectrum(path: str) -> DeformationSpectrum:
     try:
         return DeformationSpectrum.load(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except _READ_ERRORS as exc:
         raise ConfigError(f"cannot read spectrum {path}: {exc}") from exc
+
+
+def _load_path(path: str) -> FlowPath:
+    try:
+        return FlowPath.load_jsonl(path)
+    except _READ_ERRORS as exc:
+        raise ConfigError(f"cannot read path {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +173,7 @@ def _report_path(args: argparse.Namespace, cfg: RunConfig) -> str | None:
 
 def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check is not None:
-        path_a = FlowPath.load_jsonl(args.check)
+        path_a = _load_path(args.check)
         rep = validate_assumption(
             path_a, frak_c1=args.frak_c1 or cfg.frak_c, frak_c_small=args.frak_c_small
         )
@@ -218,7 +227,7 @@ def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _simulate_input(args: argparse.Namespace) -> DeformationSpectrum:
     if args.spectrum.endswith(".jsonl"):
-        path = FlowPath.load_jsonl(args.spectrum)
+        path = _load_path(args.spectrum)
         return path.final if args.endpoint == "final" else path.initial
     return _load_spectrum(args.spectrum)
 

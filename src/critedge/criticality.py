@@ -23,7 +23,6 @@ __all__ = [
     "hessian_at_origin",
     "shape_alpha",
     "scaling_gamma",
-    "beta_offset",
     "density_quadratic",
     "chi",
     "alpha_from_chi",
@@ -134,11 +133,6 @@ def scaling_gamma(a) -> complex:
     if tr_h <= 0.0:
         raise DegenerateHessian(f"Hessian trace {tr_h:.3e} <= 0")
     return complex(np.sqrt(tr_h) / i4**0.25 * np.exp(1j * theta))
-
-
-def beta_offset(spec: DeformationSpectrum, z: complex) -> float:
-    """Edge offset sqrt(n) * (1 - tr |A - z|^-2) at the point z."""
-    return float(np.sqrt(spec.n) * (1.0 - spec.inv_modulus_power_trace(2, z)))
 
 
 def chi(spec: DeformationSpectrum) -> tuple[float, float]:

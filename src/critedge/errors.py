@@ -60,6 +60,10 @@ class MeshTooCoarse(CritEdgeError):
     """No mesh width in the calibration ladder yielded a contractive solve."""
 
 
+class ChainExhausted(CritEdgeError):
+    """Bisection ran out of depth before certificates covered the continuation."""
+
+
 class ResidualExceeded(CritEdgeError):
     """A path violates its per-grid-point residual or norm invariants."""
 

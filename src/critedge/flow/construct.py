@@ -1,17 +1,23 @@
-"""Constructions that deform an inverse-side spectrum to finite support.
+"""Flow builders on the inverse side, as parametrisations of one kernel.
 
-Three builders produce :class:`~critedge.flow.paths.FlowPath` values:
+Each complex builder is a continuation F(t, w) = 0 of a corrective anchor
+shift w, solved and certified by
+:func:`~critedge.flow.continuation.continue_anchored`; they differ only in
+what moves and which two traces are held:
 
-* :func:`finite_support_flow` collapses a critical diagonal matrix onto
-  at most M support points by pairing opposite-half-plane clusters and
-  shrinking every matched pair simultaneously;
-* :func:`fix_spectrum_flow` moves one finite-support spectrum onto a
-  nearby target exactly, interpolating chi linearly;
-* :func:`hermitian_flow` handles the real (chi = 1) case with an explicit
-  two-point limit.
+* :func:`shrink_clusters` contracts two clusters onto single points along
+  straight lines, the two cluster shifts holding both pair traces;
+  :func:`finite_support_flow` runs it on every matched pair of a box mesh
+  and collapses a critical diagonal matrix onto at most M support points;
+* :func:`fix_spectrum_flow` moves one finite-support spectrum onto a nearby
+  target exactly, two heavy anchors absorbing the repair
+  f_{chi,p}(z1 + w1, z2 + w2) + q = 0 while chi interpolates linearly;
+  :func:`independent_count_target` solves the same repair once, without t;
+* :func:`hermitian_flow` handles the real (chi = 1) case in closed form.
 
-All of them conserve tr B^2 B* and the chi combination at every grid
-point, which is what the lifted deformation path needs.
+Every builder passes the one precondition gate and returns its samples
+through the one path assembly, which records tr B^2 B* and the chi
+distance at every grid point.
 """
 
 from __future__ import annotations
@@ -24,23 +30,29 @@ from scipy.optimize import linear_sum_assignment
 
 from ..criticality import chi as chi_of
 from ..errors import (
+    ChainExhausted,
     ConditionViolated,
-    ContractionFailed,
     DeltaTvExceeded,
     MeshTooCoarse,
     NoConvergence,
     NotReal,
     NoValidConstant,
     PairingInfeasible,
-    RadiusExceeded,
     ResidualExceeded,
     SizePreconditionFailed,
 )
 from ..spectrum import DeformationSpectrum
-from .ift import IftCertificate, IftProblem, quantitative_ift
+from .continuation import (
+    anchor_jacobian,
+    anchor_residual,
+    assemble_path,
+    continue_anchored,
+    gate_inverse_side,
+    newton,
+)
 from .maps import (
     check_z1z2,
-    f_chi_p,
+    cluster_traces,
     realify,
     unrealify,
     weighted_entry_jacobian,
@@ -62,35 +74,28 @@ __all__ = [
     "hermitian_flow",
 ]
 
+# largest entrywise move between the aligned endpoints of fix_spectrum_flow,
+# and largest count change as a fraction of N
+DELTA_TV = 0.2
+# how far the stepped end shift of fix_spectrum_flow may miss the target
+ENDPOINT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Calibration knobs shared by the flow builders.
+    """Calibration shared by the flow builders.
 
     ``h0`` defaults to 0.1 / frak_c; the ladder halves it until every
-    matched pair passes the contraction precheck.  ``delta_tv`` bounds how
-    far fix_spectrum_flow endpoints may sit apart; the certified radius is
-    the real gate and failures surface as DeltaTvExceeded.
+    matched pair certifies.
     """
 
     grid_points: int = 257
     h0: float | None = None
     ladder: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625)
-    tol_pre: float = 1e-8
-    tol_solve: float = 1e-13
-    delta_tv: float = 0.2
-    endpoint_tol: float = 1e-8
-    frak_c: float | None = None
 
 
 def _default_grid(points: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
-
-
-def _unit_trace2(values: np.ndarray, counts: np.ndarray | None = None) -> complex:
-    if counts is None:
-        return complex(np.mean(values * values * np.conj(values)))
-    return complex(np.sum(counts * values * values * np.conj(values)) / counts.sum())
 
 
 # ---------------------------------------------------------------- half plane
@@ -111,21 +116,10 @@ def half_plane_mass_constant(b: DeformationSpectrum, frak_c: float) -> HalfPlane
     The criticality conditions force such a constant below 1/(2 frak_c);
     NoValidConstant therefore signals a violated precondition.
     """
+    gate_inverse_side(frak_c, b)
     re = b.eigenvalues.real
     mult = b.multiplicities
     n = b.n
-    skew = complex(np.sum(b.weights * b.eigenvalues**2 * np.conj(b.eigenvalues)))
-    cubic = complex(np.sum(b.weights * b.eigenvalues**3 * np.conj(b.eigenvalues)))
-    norm, inv_norm = b.operator_norms()
-    pre = []
-    if norm > frak_c * (1 + 1e-9) or inv_norm > frak_c * (1 + 1e-9):
-        pre.append(f"operator norms ({norm:.3g}, {inv_norm:.3g}) exceed {frak_c}")
-    if abs(skew) > 1e-6:
-        pre.append(f"|tr B^2 B*| = {abs(skew):.3e} not ~ 0")
-    if cubic.real < -1e-9:
-        pre.append(f"Re tr B^3 B* = {cubic.real:.3e} < 0")
-    if pre:
-        raise ConditionViolated(pre)
     for k in range(1, 60):
         c = 2.0**-k
         if c >= 1.0 / (2.0 * frak_c):
@@ -143,22 +137,6 @@ def half_plane_mass_constant(b: DeformationSpectrum, frak_c: float) -> HalfPlane
 # ------------------------------------------------------------------- shrink
 
 
-def _newton4(residual, jacobian, y0, tol, max_iter=40):
-    y = np.asarray(y0, dtype=float).copy()
-    res = residual(y)
-    for _ in range(max_iter):
-        nrm = float(np.linalg.norm(res))
-        if nrm <= tol:
-            return y, nrm, True
-        try:
-            step = np.linalg.solve(jacobian(y), res)
-        except np.linalg.LinAlgError:
-            break
-        y = y - step
-        res = residual(y)
-    return y, float(np.linalg.norm(res)), False
-
-
 @dataclass(frozen=True)
 class ShrinkResult:
     """Joint flow of one matched cluster pair.
@@ -166,6 +144,7 @@ class ShrinkResult:
     ``flow1``/``flow2`` hold positions per (time, entry); the final rows are
     constant at the corrected centers z1_tilde/z2_tilde.  Drift fields
     measure how far the two conserved mass-normalised traces wander.
+    ``certificates`` holds one record per chained segment of [0, 1].
     """
 
     times: tuple
@@ -176,10 +155,8 @@ class ShrinkResult:
     z2_tilde: complex
     drift_crit: float
     drift_chi: float
-    deriv_max: float
     fallback_steps: int
-    certificate: IftCertificate
-    legs: int = 1
+    certificates: tuple
 
 
 def shrink_clusters(
@@ -194,17 +171,12 @@ def shrink_clusters(
     counts2=None,
     h: float | None = None,
     c: float | None = None,
-    tol: float = 1e-13,
 ) -> ShrinkResult:
     """Contract two clusters onto single points without moving the pair traces.
 
-    Entries travel along straight lines toward the centers while a common
-    corrective shift per cluster (the implicit function) keeps both
-    conserved sums exactly at their initial values.  The frozen-Jacobian
-    fixed-point iteration is primary; a fresh-Jacobian Newton step takes
-    over when it stalls.  Certification bisects the homotopy interval
-    until every leg carries a contraction certificate; only an exhausted
-    chain surfaces as MeshTooCoarse.
+    Entries travel along straight lines v + t (z - v) toward the centers
+    while a common corrective shift per cluster (the implicit function)
+    keeps both conserved sums exactly at their initial values.
     """
     v1 = np.asarray(v1, dtype=complex).reshape(-1)
     v2 = np.asarray(v2, dtype=complex).reshape(-1)
@@ -218,18 +190,15 @@ def shrink_clusters(
     if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
         raise ConditionViolated(["grid must increase from 0 to 1"])
 
+    d1 = z1 - v1
+    d2 = z2 - v2
+    d = np.concatenate([d1, d2])
     if h is not None:
         # mesh refinement certifies sup-norm radii, so check in the same norm
-        def sup_radius(v, z):
-            if not v.size:
-                return 0.0
-            d = v - z
-            return float(np.max(np.maximum(np.abs(d.real), np.abs(d.imag))))
-
-        r1, r2 = sup_radius(v1, z1), sup_radius(v2, z2)
-        if max(r1, r2) > h * (1 + 1e-9):
+        radius = float(np.max(np.maximum(np.abs(d.real), np.abs(d.imag))))
+        if radius > h * (1 + 1e-9):
             raise MeshTooCoarse(
-                f"cluster sup-radius {max(r1, r2):.4g} exceeds mesh width {h:.4g}"
+                f"cluster sup-radius {radius:.4g} exceeds mesh width {h:.4g}"
             )
     mass1, mass2 = float(c1.sum()), float(c2.sum())
     p = mass1 / (mass1 + mass2)
@@ -244,154 +213,36 @@ def shrink_clusters(
             raise ConditionViolated(failures)
 
     f_target = weighted_pair_trace(v1, c1, v2, c2, chi)
-    d1 = z1 - v1
-    d2 = z2 - v2
-    m1, m2 = v1.size, v2.size
-    dim_x = 2 * (m1 + m2)
+    x_dir = np.column_stack([d.real, d.imag]).ravel()  # dt of the realified entries
 
-    def positions(x):
-        u = x[0::2] + 1j * x[1::2]
-        return v1 + u[:m1], v2 + u[m1:]
+    def shifted(t, w):
+        w1, w2 = unrealify(w)
+        return v1 + t * d1 + w1, v2 + t * d2 + w2
 
-    def residual(x, y):
-        u1, u2 = positions(x)
-        w1, w2 = unrealify(y)
-        f1, f2 = weighted_pair_trace(u1 + w1, c1, u2 + w2, c2, chi)
+    def residual(t, w):
+        u1, u2 = shifted(t, w)
+        f1, f2 = weighted_pair_trace(u1, c1, u2, c2, chi)
         return realify(f1 - f_target[0], f2 - f_target[1])
 
-    def d_y(x, y):
-        u1, u2 = positions(x)
-        w1, w2 = unrealify(y)
-        return weighted_pair_jacobian(u1 + w1, c1, u2 + w2, c2, chi)
+    def jacobian(t, w):
+        u1, u2 = shifted(t, w)
+        return weighted_pair_jacobian(u1, c1, u2, c2, chi)
 
-    def d_x(x, y):
-        u1, u2 = positions(x)
-        w1, w2 = unrealify(y)
-        return weighted_entry_jacobian(u1 + w1, c1, u2 + w2, c2, chi)
+    def d_t(t, w):
+        u1, u2 = shifted(t, w)
+        return weighted_entry_jacobian(u1, c1, u2, c2, chi) @ x_dir
 
-    x_full = np.empty(dim_x)
-    disp = np.concatenate([d1, d2])
-    x_full[0::2] = disp.real
-    x_full[1::2] = disp.imag
-    x_norm = float(np.linalg.norm(x_full))
+    cont = continue_anchored(residual, jacobian, grid, d_t=d_t)
+    shifts = cont.shifts
+    flow1 = v1 + grid[:, None] * d1 + shifts[:, :1]
+    flow2 = v2 + grid[:, None] * d2 + shifts[:, 1:]
+    # the end rows sit exactly on the corrected centers
+    flow1[-1] = z1 + shifts[-1, 0]
+    flow2[-1] = z2 + shifts[-1, 1]
 
-    # Certify the displacement homotopy.  The control is the scalar arc
-    # parameter along the fixed direction x_full, not the full entry
-    # vector: the path only ever moves that way, and one control dimension
-    # keeps the sampled precheck cheap.  One frozen-Jacobian box rarely
-    # covers a stiff pair (large ||J0^-1|| forces a y-box too wide for the
-    # contraction precheck), so the interval is bisected with the Jacobian
-    # re-frozen at each sub-interval start and the certificates chained.
-    path_dir = x_full / x_norm if x_norm > 0 else np.zeros(dim_x)
-
-    def _certify(a, b, w_a, depth, chain):
-        x_a = a * x_full
-
-        def res_fn(s, y):
-            return residual(x_a + s[0] * path_dir, w_a + y)
-
-        def dy_fn(s, y):
-            return d_y(x_a + s[0] * path_dir, w_a + y)
-
-        def dx_fn(s, y):
-            return (d_x(x_a + s[0] * path_dir, w_a + y) @ path_dir).reshape(4, 1)
-
-        xn_seg = (b - a) * x_norm
-        s_seg = np.array([xn_seg])
-        last_exc: Exception | None = None
-        w_probe, _, ok = _newton4(
-            lambda y: res_fn(s_seg, y), lambda y: dy_fn(s_seg, y), np.zeros(4), tol
-        )
-        if ok:
-            j_base = dy_fn(np.zeros(1), np.zeros(4))
-            c1_est = max(1.0, float(np.linalg.norm(np.linalg.inv(j_base), 2)))
-            c2_est = float(np.linalg.norm(dx_fn(np.zeros(1), np.zeros(4)), 2))
-            # h_y / (2 c1 c2) must cover the segment displacement
-            base = max(
-                2.6 * c1_est * c2_est * xn_seg,
-                4.0 * float(np.linalg.norm(w_probe)),
-                50.0 * tol,
-                1e-9,
-            )
-            h_x_seg = max(xn_seg, 1e-12) * (1 + 1e-9)
-            for bump in (1.0, 2.0, 4.0, 8.0):
-                problem = IftProblem(
-                    res_fn, h_x=h_x_seg, h_y=base * bump, dim_x=1, dim_y=4,
-                    d_y=dy_fn, d_x=dx_fn,
-                )
-                try:
-                    sol = quantitative_ift(problem, s_seg, y0=w_probe, tol=tol)
-                    chain.append(sol.certificate)
-                    return w_a + sol.y
-                except ContractionFailed as exc:
-                    last_exc = exc
-                    break
-                except RadiusExceeded as exc:
-                    last_exc = exc
-        else:
-            last_exc = NoConvergence("corrective-shift probe did not converge")
-        if depth >= 10:
-            raise MeshTooCoarse(
-                f"certificate chain exhausted on [{a:.4g}, {b:.4g}]: {last_exc}"
-            ) from last_exc
-        mid = 0.5 * (a + b)
-        w_mid = _certify(a, mid, w_a, depth + 1, chain)
-        return _certify(mid, b, w_mid, depth + 1, chain)
-
-    chain: list[IftCertificate] = []
-    _certify(0.0, 1.0, np.zeros(4), 0, chain)
-    worst_cert = max(chain, key=lambda cert: cert.contraction_max)
-
-    j0_inv = np.linalg.inv(d_y(np.zeros(dim_x), np.zeros(4)))
-    t_count = grid.size
-    flow1 = np.empty((t_count, m1), dtype=complex)
-    flow2 = np.empty((t_count, m2), dtype=complex)
-    shifts = np.empty((t_count, 2), dtype=complex)
-    w = np.zeros(4)
-    fallback = 0
-    for k, t in enumerate(grid):
-        if t == 0.0:
-            w = np.zeros(4)
-        else:
-            x_t = t * x_full
-            res_fn = lambda y: residual(x_t, y)
-            converged = False
-            res = res_fn(w)
-            for _ in range(60):
-                if float(np.linalg.norm(res)) <= tol:
-                    converged = True
-                    break
-                w = w - j0_inv @ res
-                res = res_fn(w)
-            if not converged:
-                w, nrm, ok = _newton4(res_fn, lambda y: d_y(x_t, y), w, tol)
-                fallback += 1
-                if not ok:
-                    raise NoConvergence(
-                        f"cluster shift stalled at t={t:.4f} (||F|| = {nrm:.3e})"
-                    )
-        w1, w2 = unrealify(w)
-        shifts[k] = (w1, w2)
-        if t == 1.0:
-            flow1[k] = z1 + w1
-            flow2[k] = z2 + w2
-        elif t == 0.0:
-            flow1[k] = v1
-            flow2[k] = v2
-        else:
-            flow1[k] = v1 + t * d1 + w1
-            flow2[k] = v2 + t * d2 + w2
-
-    drift_crit = 0.0
-    drift_chi = 0.0
-    for k in range(t_count):
-        f1, f2 = weighted_pair_trace(flow1[k], c1, flow2[k], c2, chi)
-        drift_crit = max(drift_crit, abs(f1 - f_target[0]))
-        drift_chi = max(drift_chi, abs(f2 - f_target[1]))
-    steps1 = np.abs(np.diff(flow1, axis=0)) / np.diff(grid)[:, None]
-    steps2 = np.abs(np.diff(flow2, axis=0)) / np.diff(grid)[:, None]
-    deriv_max = float(max(steps1.max(initial=0.0), steps2.max(initial=0.0)))
-
+    drift = np.array(
+        [weighted_pair_trace(f1, c1, f2, c2, chi) for f1, f2 in zip(flow1, flow2)]
+    ) - np.array(f_target)
     return ShrinkResult(
         times=tuple(float(t) for t in grid),
         flow1=flow1,
@@ -399,12 +250,10 @@ def shrink_clusters(
         shifts=shifts,
         z1_tilde=complex(flow1[-1][0]),
         z2_tilde=complex(flow2[-1][0]),
-        drift_crit=float(drift_crit),
-        drift_chi=float(drift_chi),
-        deriv_max=deriv_max,
-        fallback_steps=fallback,
-        certificate=worst_cert,
-        legs=len(chain),
+        drift_crit=float(np.abs(drift[:, 0]).max()),
+        drift_chi=float(np.abs(drift[:, 1]).max()),
+        fallback_steps=cont.fallback_steps,
+        certificates=cont.certificates,
     )
 
 
@@ -484,22 +333,8 @@ def finite_support_flow(
     in ``meta``.
     """
     cfg = cfg or FlowConfig()
-    norm, inv_norm = b.operator_norms()
-    failures = []
-    if norm > frak_c * (1 + 1e-9) or inv_norm > frak_c * (1 + 1e-9):
-        failures.append(f"operator norms ({norm:.3g}, {inv_norm:.3g}) exceed {frak_c}")
-    skew = complex(np.sum(b.weights * b.eigenvalues**2 * np.conj(b.eigenvalues)))
-    if abs(skew) > cfg.tol_pre:
-        failures.append(f"|tr B^2 B*| = {abs(skew):.3e} exceeds {cfg.tol_pre:.1e}")
-    chi_re, chi_im = chi_of(b)
-    if abs(chi_im) > 1e-6:
-        failures.append(f"chi has imaginary residual {chi_im:.3e}")
-    if not (-cfg.tol_pre <= chi_re <= 1.0 - 1.0 / frak_c + cfg.tol_pre):
-        failures.append(f"chi = {chi_re:.4g} outside [0, 1 - 1/frak_c]")
-    if failures:
-        raise ConditionViolated(failures)
-
     hp = half_plane_mass_constant(b, frak_c)
+    chi_re, chi_im = chi_of(b)
     units = b.expand()
     grid = _default_grid(cfg.grid_points)
     h0 = cfg.h0 if cfg.h0 is not None else 0.1 / frak_c
@@ -508,20 +343,20 @@ def finite_support_flow(
         h = h0 * mult
         try:
             return _finite_support_attempt(
-                b, units, chi_re, complex(chi_re, chi_im), hp, h, frak_c, grid, cfg
+                b, units, chi_re, complex(chi_re, chi_im), hp, h, frak_c, grid
             )
         except (
+            ChainExhausted,
             MeshTooCoarse,
-            PairingInfeasible,
-            RadiusExceeded,
-            SizePreconditionFailed,
             NoConvergence,
+            PairingInfeasible,
+            SizePreconditionFailed,
         ) as exc:
             attempts.append(f"h={h:.5g}: {type(exc).__name__}: {exc}")
     raise MeshTooCoarse("mesh ladder exhausted: " + " | ".join(attempts))
 
 
-def _finite_support_attempt(b, units, chi_re, chi_full, hp, h, frak_c, grid, cfg):
+def _finite_support_attempt(b, units, chi_re, chi_full, hp, h, frak_c, grid):
     n = b.n
     c0 = hp.c
     re = units.real
@@ -613,78 +448,51 @@ def _finite_support_attempt(b, units, chi_re, chi_full, hp, h, frak_c, grid, cfg
         bad = check_z1z2(z1, z2, chi_re, p, c_z)
         if bad:
             raise PairingInfeasible(f"pairing {name}: centers violate {bad}")
-        res = shrink_clusters(
-            v1, v2, z1, z2, chi_re, grid, h=h, c=c_z, tol=cfg.tol_solve
-        )
+        res = shrink_clusters(v1, v2, z1, z2, chi_re, grid, h=h, c=c_z)
         flows[:, idx1] = res.flow1
         flows[:, idx2] = res.flow2
         fallback += res.fallback_steps
         max_shift = max(max_shift, float(np.max(np.abs(res.shifts))))
+        worst = max(res.certificates, key=lambda cert: cert["contraction"])
         certs.append(
             {
                 "pairing": name,
                 "sizes": (int(m1), int(m2)),
                 "c_pair": c_z,
-                "contraction": res.certificate.contraction_max,
-                "lipschitz": res.certificate.lipschitz_bound,
-                "legs": res.legs,
+                "contraction": worst["contraction"],
+                "lipschitz": 2.0 * worst["c1"] * worst["c2"],
+                "legs": len(res.certificates),
                 "drift": max(res.drift_crit, res.drift_chi),
             }
         )
 
-    states = []
-    residual_crit = []
-    residual_chi = []
-    for k in range(t_count):
-        vals = flows[k]
-        state = DeformationSpectrum.from_values(vals).canonical(0.0)
-        states.append(state)
-        residual_crit.append(float(abs(_unit_trace2(vals))))
-        c_re, c_im = chi_of(state)
-        residual_chi.append(float(abs(complex(c_re, c_im) - chi_full)))
-    derivs = _pointwise_derivatives(flows, grid)
-
-    support_final = states[-1].support_size(0.0)
     m_bound = 100.0 * frak_c**2 / h**2
+    meta = {
+        "h": h,
+        "c0": c0,
+        "c_geom": c_geom,
+        "m_bound": m_bound,
+        "pairs": len(jobs),
+        "max_shift": max_shift,
+        "newton_fallback_steps": fallback,
+        "pair_certificates": certs,
+    }
+    path = assemble_path(
+        grid, flows, np.ones(n), n, np.full(t_count, chi_full), "shrink", meta
+    )
+    support_final = path.final.support_size(0.0)
     if support_final > m_bound:
         raise MeshTooCoarse(
             f"final support {support_final} exceeds M = {m_bound:.1f}"
         )
-    frak_c1 = max(
-        frak_c,
-        max(max(s.moduli().max(), 1.0 / s.moduli().min()) for s in states),
-    ) * (1 + 1e-12)
-    return FlowPath(
-        grid=tuple(float(t) for t in grid),
-        states=tuple(states),
-        derivatives=derivs,
-        residual_crit=tuple(residual_crit),
-        residual_chi=tuple(residual_chi),
-        segment_kind=("shrink",) * (t_count - 1),
-        meta={
-            "h": h,
-            "c0": c0,
-            "c_geom": c_geom,
-            "m_bound": m_bound,
-            "support_final": int(support_final),
-            "pairs": len(jobs),
-            "frak_c1": frak_c1,
-            "max_shift": max_shift,
-            "newton_fallback_steps": fallback,
-            "pair_certificates": certs,
-        },
+    path.meta.update(
+        support_final=int(support_final),
+        frak_c1=max(
+            frak_c,
+            max(max(s.moduli().max(), 1.0 / s.moduli().min()) for s in path.states),
+        ) * (1 + 1e-12),
     )
-
-
-def _pointwise_derivatives(flows: np.ndarray, grid: np.ndarray) -> tuple:
-    steps = np.abs(np.diff(flows, axis=0)) / np.diff(grid)[:, None]
-    per_interval = steps.max(axis=1)
-    out = np.empty(grid.size)
-    out[0] = per_interval[0]
-    out[-1] = per_interval[-1]
-    if grid.size > 2:
-        out[1:-1] = np.maximum(per_interval[:-1], per_interval[1:])
-    return tuple(float(v) for v in out)
+    return path
 
 
 # ------------------------------------------------------------------ fix flow
@@ -713,36 +521,38 @@ def _align_supports(b0, b1, tol):
     cost[l0:, l1:] = 0.0
     rows, cols = linear_sum_assignment(cost)
     match = {
-        int(i): int(j)
-        for i, j in zip(rows, cols)
-        if i < l0 and j < l1 and d[i, j] <= tol
+        int(i): int(j) for i, j in zip(rows, cols) if i < l0 and j < l1 and d[i, j] <= tol
     }
-    za, zb, na, nb = [], [], [], []
-    for i in range(l0):
-        if i in match:
-            j = match[i]
-            za.append(z0[i])
-            zb.append(z1[j])
-            na.append(int(m0[i]))
-            nb.append(int(m1[j]))
-        else:
-            za.append(z0[i])
-            zb.append(z0[i])
-            na.append(int(m0[i]))
-            nb.append(0)
-    matched1 = set(match.values())
-    for j in range(l1):
-        if j not in matched1:
-            za.append(z1[j])
-            zb.append(z1[j])
-            na.append(0)
-            nb.append(int(m1[j]))
+    partner = np.array([match.get(i, -1) for i in range(l0)], dtype=int)
+    paired = partner >= 0
+    lone = np.ones(l1, dtype=bool)
+    lone[list(match.values())] = False
     return (
-        np.array(za, dtype=complex),
-        np.array(zb, dtype=complex),
-        np.array(na, dtype=float),
-        np.array(nb, dtype=float),
+        np.concatenate([z0, z1[lone]]),
+        np.concatenate([np.where(paired, z1[partner], z0), z1[lone]]),
+        np.concatenate([m0, np.zeros(lone.sum())]).astype(float),
+        np.concatenate([np.where(paired, m1[partner], 0), m1[lone]]).astype(float),
     )
+
+
+def _anchor_pair(re: np.ndarray, counts: np.ndarray):
+    """The two heavy anchors of a repair and the sites left over.
+
+    i1 (i2) is the heaviest site whose real parts, one row of ``re`` per
+    endpoint, are all negative (positive).  Returns (i1, i2, p, mass12,
+    rest) with mass12 their joint count, p = counts[i1] / mass12 and rest
+    the other sites of positive count.
+    """
+    counts = np.asarray(counts, dtype=float)
+    live = counts > 0
+    left = np.where(np.all(re < 0, axis=0) & live, counts, -1.0)
+    right = np.where(np.all(re > 0, axis=0) & live, counts, -1.0)
+    if left.max() < 0 or right.max() < 0:
+        raise ConditionViolated(["need heavy blocks on both sides of the imaginary axis"])
+    i1, i2 = int(np.argmax(left)), int(np.argmax(right))
+    mass12 = counts[i1] + counts[i2]
+    live[[i1, i2]] = False
+    return i1, i2, counts[i1] / mass12, mass12, np.flatnonzero(live)
 
 
 def fix_spectrum_flow(
@@ -754,67 +564,33 @@ def fix_spectrum_flow(
     parts absorb the correction solved by the implicit function theorem,
     the other blocks interpolate linearly, and the count imbalance travels
     as polar-interpolated rank-one pieces.  chi moves linearly from
-    chi(B0) to chi(B1) by construction.  The continuation is certified by
-    chained contraction certificates, bisecting the time interval until
-    each segment fits inside its certified radius.
+    chi(B0) to chi(B1) by construction.  frak_c is the smallest bound,
+    with 5 % room, that admits both endpoints.
     """
     cfg = cfg or FlowConfig()
     if b0.n != b1.n:
         raise ConditionViolated(["spectra must share dimension"])
     n = b0.n
-    z0, z1, n0, n1 = _align_supports(b0, b1, cfg.delta_tv)
-    if float(np.max(np.abs(z0 - z1))) > cfg.delta_tv:
+    z0, z1, n0, n1 = _align_supports(b0, b1, DELTA_TV)
+    if float(np.max(np.abs(z0 - z1))) > DELTA_TV:
         raise DeltaTvExceeded(
-            f"max |z0 - z1| = {np.max(np.abs(z0 - z1)):.4g} exceeds {cfg.delta_tv}"
+            f"max |z0 - z1| = {np.max(np.abs(z0 - z1)):.4g} exceeds {DELTA_TV}"
         )
-    if float(np.max(np.abs(n0 - n1))) > cfg.delta_tv * n:
+    if float(np.max(np.abs(n0 - n1))) > DELTA_TV * n:
         raise DeltaTvExceeded(
             f"max |n0 - n1| = {np.max(np.abs(n0 - n1)):.0f} exceeds "
-            f"{cfg.delta_tv} * N"
+            f"{DELTA_TV} * N"
         )
-    frak_c = cfg.frak_c
-    if frak_c is None:
-        norms = [*b0.operator_norms(), *b1.operator_norms()]
-        chi_cap = min(max(chi_of(b0)[0], chi_of(b1)[0]), 0.999)
-        # wide enough for both the norm bound and the chi <= 1 - 1/c window
-        frak_c = max(*norms, 1.0 / (1.0 - chi_cap) if chi_cap > 0 else 1.0) * 1.05
-    failures = []
-    for tag, spec in (("B0", b0), ("B1", b1)):
-        nrm, inv = spec.operator_norms()
-        if nrm > frak_c * (1 + 1e-9) or inv > frak_c * (1 + 1e-9):
-            failures.append(f"{tag}: norms ({nrm:.3g}, {inv:.3g}) exceed {frak_c:.3g}")
-        sk = complex(
-            np.sum(spec.weights * spec.eigenvalues**2 * np.conj(spec.eigenvalues))
-        )
-        if abs(sk) > cfg.tol_pre:
-            failures.append(f"{tag}: |tr B^2 B*| = {abs(sk):.3e}")
-        cr, ci = chi_of(spec)
-        if abs(ci) > 1e-6 or not (-cfg.tol_pre <= cr <= 1.0 - 1.0 / frak_c + cfg.tol_pre):
-            failures.append(f"{tag}: chi = {cr:.4g} (+{ci:.1e}i) inadmissible")
-    if failures:
-        raise ConditionViolated(failures)
-
     chi0 = chi_of(b0)[0]
     chi1 = chi_of(b1)[0]
+    norms = [*b0.operator_norms(), *b1.operator_norms()]
+    chi_cap = min(max(chi0, chi1), 0.999)
+    # wide enough for both the norm bound and the chi <= 1 - 1/c window
+    frak_c = max(*norms, 1.0 / (1.0 - chi_cap) if chi_cap > 0 else 1.0) * 1.05
+    gate_inverse_side(frak_c, b0, b1)
+
     n_hat = np.minimum(n0, n1)
-    neg = [
-        i
-        for i in range(z0.size)
-        if z0[i].real < 0 and z1[i].real < 0 and n_hat[i] > 0
-    ]
-    pos = [
-        i
-        for i in range(z0.size)
-        if z0[i].real > 0 and z1[i].real > 0 and n_hat[i] > 0
-    ]
-    if not neg or not pos:
-        raise ConditionViolated(
-            ["need heavy blocks on both sides of the imaginary axis"]
-        )
-    i1 = max(neg, key=lambda i: n_hat[i])
-    i2 = max(pos, key=lambda i: n_hat[i])
-    mass12 = n_hat[i1] + n_hat[i2]
-    p = n_hat[i1] / mass12
+    i1, i2, p, mass12, rest = _anchor_pair(np.vstack([z0.real, z1.real]), n_hat)
 
     mods = [abs(z0[i1]), abs(z0[i2]), abs(z1[i1]), abs(z1[i2])]
     res_parts = [abs(z0[i1].real), abs(z0[i2].real), abs(z1[i1].real), abs(z1[i2].real)]
@@ -838,10 +614,6 @@ def fix_spectrum_flow(
         if bad:
             raise ConditionViolated([f"{tag} anchors: {m}" for m in bad])
 
-    rest = np.array(
-        [i for i in range(z0.size) if i not in (i1, i2) and n_hat[i] > 0],
-        dtype=int,
-    )
     rest_cnt = n_hat[rest]
     d0 = np.rint(n0 - n_hat).astype(int)
     d1 = np.rint(n1 - n_hat).astype(int)
@@ -853,6 +625,7 @@ def fix_spectrum_flow(
     th_a = np.angle(units0)
     # shortest arc keeps the polar paths inside the modulus annulus
     dth = np.mod(np.angle(units1) - th_a + np.pi, 2.0 * np.pi) - np.pi
+    side_counts = np.concatenate([rest_cnt, np.ones(units0.size)])
 
     def side_values(t):
         lin = (1.0 - t) * z0[rest] + t * z1[rest]
@@ -862,187 +635,44 @@ def fix_spectrum_flow(
             pol = units1
         else:
             pol = ((1.0 - t) * r_a + t * r_b) * np.exp(1j * (th_a + t * dth))
-        return lin, pol
+        return np.concatenate([lin, pol])
 
-    def q_terms(t, chi_t):
-        lin, pol = side_values(t)
-        q1 = (
-            np.sum(rest_cnt * lin * lin * np.conj(lin))
-            + np.sum(pol * pol * np.conj(pol))
-        ) / mass12
-        q2 = (
-            np.sum(rest_cnt * (lin**3 * np.conj(lin) - chi_t * np.abs(lin) ** 4))
-            + np.sum(pol**3 * np.conj(pol) - chi_t * np.abs(pol) ** 4)
-        ) / mass12
-        return complex(q1), complex(q2)
+    def chi_at(t):
+        return (1.0 - t) * chi0 + t * chi1
 
-    def residual(x, y):
-        t = float(x[0])
-        w1, w2 = unrealify(y)
-        chi_t = (1.0 - t) * chi0 + t * chi1
-        val = f_chi_p(z0[i1] + w1, z0[i2] + w2, chi_t, p)
-        q1, q2 = q_terms(t, chi_t)
-        return realify(val.f[0] + q1, val.f[1] + q2)
+    def residual(t, w):
+        q = cluster_traces(side_values(t), side_counts, chi_at(t), mass12)
+        return anchor_residual(w, z0[i1], z0[i2], chi_at(t), p, q)
 
-    def d_y(x, y):
-        t = float(x[0])
-        w1, w2 = unrealify(y)
-        chi_t = (1.0 - t) * chi0 + t * chi1
-        return f_chi_p(z0[i1] + w1, z0[i2] + w2, chi_t, p).jacobian
+    def jacobian(t, w):
+        return anchor_jacobian(w, z0[i1], z0[i2], chi_at(t), p)
 
-    w_end = realify(z1[i1] - z0[i1], z1[i2] - z0[i2])
     grid = _default_grid(cfg.grid_points)
-    j0_inv = np.linalg.inv(d_y(np.array([0.0]), np.zeros(4)))
-    w_series = np.zeros((grid.size, 4))
-    w = np.zeros(4)
-    fallback = 0
-    for k, t in enumerate(grid):
-        if t == 0.0:
-            w = np.zeros(4)
-        else:
-            x_t = np.array([float(t)])
-            res_fn = lambda y: residual(x_t, y)
-            res = res_fn(w)
-            converged = False
-            for _ in range(60):
-                if float(np.linalg.norm(res)) <= cfg.tol_solve:
-                    converged = True
-                    break
-                w = w - j0_inv @ res
-                res = res_fn(w)
-            if not converged:
-                w, nrm, ok = _newton4(res_fn, lambda y: d_y(x_t, y), w, cfg.tol_solve)
-                fallback += 1
-                if not ok:
-                    raise NoConvergence(
-                        f"anchor shift stalled at t={t:.4f} (||F|| = {nrm:.3e})"
-                    )
-        w_series[k] = w
-    if float(np.linalg.norm(w_series[-1] - w_end)) > cfg.endpoint_tol:
-        raise ResidualExceeded(
-            f"solved endpoint shift differs from target by "
-            f"{np.linalg.norm(w_series[-1] - w_end):.3e}"
-        )
-    w_series[-1] = w_end
-
-    # one certificate rarely covers [0, 1]; chain re-based certificates,
-    # bisecting on grid points until each segment fits its radius
-    certificates: list[dict] = []
-
-    def certify(a: int, bidx: int) -> None:
-        ta, tb = float(grid[a]), float(grid[bidx])
-        dt = tb - ta
-        wa = w_series[a]
-
-        def res_seg(x, y):
-            return residual(np.array([ta + float(np.atleast_1d(x)[0])]), wa + y)
-
-        def dy_seg(x, y):
-            return d_y(np.array([ta + float(np.atleast_1d(x)[0])]), wa + y)
-
-        delta_w = float(np.linalg.norm(w_series[bidx] - wa))
-        j_a = dy_seg(np.zeros(1), np.zeros(4))
-        c1_est = max(1.0, float(np.linalg.norm(np.linalg.inv(j_a), 2)))
-        drift = res_seg(np.array([dt]), np.zeros(4)) - res_seg(
-            np.zeros(1), np.zeros(4)
-        )
-        c2_est = float(np.linalg.norm(drift)) / max(dt, 1e-12)
-        base = max(2.6 * c1_est * c2_est * dt, 3.0 * delta_w, 1e-8)
-        last: Exception | None = None
-        for bump in (1.0, 2.0, 4.0, 8.0):
-            problem = IftProblem(
-                res_seg,
-                h_x=dt * (1 + 1e-9),
-                h_y=base * bump,
-                dim_x=1,
-                dim_y=4,
-                d_y=dy_seg,
-            )
-            try:
-                sol = quantitative_ift(
-                    problem, np.array([dt]), y0=w_series[bidx] - wa,
-                    tol=cfg.tol_solve,
-                )
-            except RadiusExceeded as exc:
-                last = exc
-                continue
-            except ContractionFailed as exc:
-                last = exc
-                break
-            certificates.append(
-                {
-                    "t0": ta,
-                    "t1": tb,
-                    "h_y": base * bump,
-                    "contraction": sol.certificate.contraction_max,
-                    "c1": sol.certificate.c1,
-                    "c2": sol.certificate.c2,
-                }
-            )
-            return
-        if bidx - a >= 2:
-            mid = (a + bidx) // 2
-            certify(a, mid)
-            certify(mid, bidx)
-            return
-        raise DeltaTvExceeded(
-            f"no certified continuation on [{ta:.4f}, {tb:.4f}]: {last}"
-        )
-
-    certify(0, grid.size - 1)
-
-    states = []
-    residual_crit = []
-    residual_chi = []
-    anchor = np.empty((grid.size, 2), dtype=complex)
-    for k, t in enumerate(grid):
-        tf = float(t)
-        if tf == 1.0:
-            anchor[k] = (z1[i1], z1[i2])
-        else:
-            w1, w2 = unrealify(w_series[k])
-            anchor[k] = (z0[i1] + w1, z0[i2] + w2)
-        lin, pol = side_values(tf)
-        vals = np.concatenate([anchor[k], lin, pol])
-        cnts = np.concatenate(
-            [[n_hat[i1], n_hat[i2]], rest_cnt, np.ones(pol.size)]
-        ).astype(np.int64)
-        state = DeformationSpectrum(vals, cnts, n).canonical(0.0)
-        states.append(state)
-        residual_crit.append(
-            float(abs(np.sum(state.weights * state.eigenvalues**2
-                             * np.conj(state.eigenvalues))))
-        )
-        cr, ci = chi_of(state)
-        chi_t = (1.0 - tf) * chi0 + tf * chi1
-        residual_chi.append(float(abs(complex(cr - chi_t, ci))))
-
-    derivs = _fix_derivatives(grid, anchor, side_values)
-    return FlowPath(
-        grid=tuple(float(t) for t in grid),
-        states=tuple(states),
-        derivatives=derivs,
-        residual_crit=tuple(residual_crit),
-        residual_chi=tuple(residual_chi),
-        segment_kind=("fix",) * (grid.size - 1),
-        meta={
+    cont = continue_anchored(residual, jacobian, grid)
+    anchors = z0[[i1, i2]] + cont.shifts
+    miss = float(np.linalg.norm(anchors[-1] - z1[[i1, i2]]))
+    if miss > ENDPOINT_TOL:
+        raise ResidualExceeded(f"solved endpoint shift differs from target by {miss:.3e}")
+    # the end state is the target itself, not the target plus roundoff
+    anchors[-1] = z1[[i1, i2]]
+    rows = np.column_stack([anchors, [side_values(float(t)) for t in grid]])
+    counts = np.concatenate([n_hat[[i1, i2]], side_counts])
+    return assemble_path(
+        grid,
+        rows,
+        counts,
+        n,
+        chi_at(grid),
+        "fix",
+        {
             "anchors": (int(i1), int(i2)),
             "p": float(p),
             "c_pair": float(c_pair),
-            "certificates": certificates,
-            "newton_fallback_steps": fallback,
+            "certificates": list(cont.certificates),
+            "newton_fallback_steps": cont.fallback_steps,
             "chi_span": (float(chi0), float(chi1)),
         },
     )
-
-
-def _fix_derivatives(grid, anchor, side_values) -> tuple:
-    rows = []
-    for k, t in enumerate(grid):
-        lin, pol = side_values(float(t))
-        rows.append(np.concatenate([anchor[k], lin, pol]))
-    flows = np.vstack(rows)
-    return _pointwise_derivatives(flows, grid)
 
 
 def independent_count_target(
@@ -1057,9 +687,9 @@ def independent_count_target(
     Counts snap to the dimension-independent fraction grid; sites that snap
     to zero are dropped.  The two heaviest surviving blocks with separated
     real parts absorb the value correction that restores tr B^2 B* = 0 and
-    the requested chi exactly.
+    the requested chi exactly.  ``cfg`` is accepted like every builder's;
+    nothing in it applies here.
     """
-    cfg = cfg or FlowConfig()
     n = b.n
     spec = b.canonical(0.0)
     q = n / denominator
@@ -1103,30 +733,13 @@ def independent_count_target(
     counts = counts[keep]
 
     chi_val = chi_of(b)[0] if chi_target is None else float(chi_target)
-    neg = [i for i in range(z.size) if z[i].real < 0]
-    pos = [i for i in range(z.size) if z[i].real > 0]
-    if not neg or not pos:
-        raise ConditionViolated(["need blocks on both sides of the imaginary axis"])
-    i1 = max(neg, key=lambda i: counts[i])
-    i2 = max(pos, key=lambda i: counts[i])
-    mass12 = float(counts[i1] + counts[i2])
-    p = counts[i1] / mass12
-    rest = np.array([i for i in range(z.size) if i not in (i1, i2)], dtype=int)
-
-    def residual(y):
-        w1, w2 = unrealify(y)
-        val = f_chi_p(z[i1] + w1, z[i2] + w2, chi_val, p)
-        lin = z[rest]
-        cnt = counts[rest]
-        q1 = np.sum(cnt * lin * lin * np.conj(lin)) / mass12
-        q2 = np.sum(cnt * (lin**3 * np.conj(lin) - chi_val * np.abs(lin) ** 4)) / mass12
-        return realify(val.f[0] + complex(q1), val.f[1] + complex(q2))
-
-    def jac(y):
-        w1, w2 = unrealify(y)
-        return f_chi_p(z[i1] + w1, z[i2] + w2, chi_val, p).jacobian
-
-    y, nrm, ok = _newton4(residual, jac, np.zeros(4), cfg.tol_solve, max_iter=80)
+    i1, i2, p, mass12, rest = _anchor_pair(z.real[None, :], counts)
+    q = cluster_traces(z[rest], counts[rest], chi_val, mass12)
+    y, nrm, ok = newton(
+        lambda w: anchor_residual(w, z[i1], z[i2], chi_val, p, q),
+        lambda w: anchor_jacobian(w, z[i1], z[i2], chi_val, p),
+        np.zeros(4),
+    )
     if not ok:
         raise NoConvergence(f"target repair stalled at ||F|| = {nrm:.3e}")
     w1, w2 = unrealify(y)
@@ -1156,22 +769,13 @@ def hermitian_flow(
     x = ev.real
     cnt = b.multiplicities.astype(float)
     n = b.n
-    b.require_invertible()
-    failures = []
-    norm, inv_norm = b.operator_norms()
-    if norm > frak_c * (1 + 1e-9) or inv_norm > frak_c * (1 + 1e-9):
-        failures.append(f"operator norms ({norm:.3g}, {inv_norm:.3g}) exceed {frak_c}")
-    third = float(np.sum(cnt * x**3) / n)
-    if abs(third) > 1e-8:
-        failures.append(f"third moment {third:.3e} not ~ 0")
     pos = x > 0
     negm = x < 0
     n_pos = float(cnt[pos].sum())
     n_neg = float(cnt[negm].sum())
-    if n_pos == 0 or n_neg == 0:
-        failures.append("criticality requires entries of both signs")
-    if failures:
-        raise ConditionViolated(failures)
+    if not (n_pos and n_neg):
+        raise ConditionViolated(["criticality requires entries of both signs"])
+    gate_inverse_side(frak_c, b, chi_max=1.0)
 
     xp = x[pos]
     cp = cnt[pos]
@@ -1217,30 +821,12 @@ def hermitian_flow(
             aligned[k, pos] = t + (1.0 - t) * x[pos]
             aligned[k, negm] = (1.0 - t) * (x[negm] - g)
 
-    states = []
-    residual_crit = []
-    residual_chi = []
-    for k, t in enumerate(grid):
-        state = DeformationSpectrum(aligned[k], b.multiplicities, n).canonical(0.0)
-        states.append(state)
-        residual_crit.append(
-            float(abs(np.sum(state.weights * state.eigenvalues**2
-                             * np.conj(state.eigenvalues))))
-        )
-        cr, ci = chi_of(state)
-        residual_chi.append(float(abs(complex(cr - 1.0, ci))))
-
-    derivs = _pointwise_derivatives(aligned, grid)
-    return FlowPath(
-        grid=tuple(float(t) for t in grid),
-        states=tuple(states),
-        derivatives=derivs,
-        residual_crit=tuple(residual_crit),
-        residual_chi=tuple(residual_chi),
-        segment_kind=("hermitian",) * (grid.size - 1),
-        meta={
-            "n_pos": int(n_pos),
-            "n_neg": int(n_neg),
-            "final_negative": -kappa,
-        },
+    return assemble_path(
+        grid,
+        aligned,
+        b.multiplicities,
+        n,
+        np.ones(grid.size),
+        "hermitian",
+        {"n_pos": int(n_pos), "n_neg": int(n_neg), "final_negative": -kappa},
     )

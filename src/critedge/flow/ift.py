@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ContractionFailed, NoConvergence, RadiusExceeded
 
-__all__ = ["IftProblem", "IftCertificate", "IftSolution", "quantitative_ift"]
+__all__ = ["IftProblem", "IftCertificate", "IftSolution", "frozen_solve", "quantitative_ift"]
 
 # tolerated excess over the 1/2 contraction bound before refusing to solve
 CONTRACTION_SLACK = 0.05
@@ -114,6 +114,23 @@ def _sample_points(problem: IftProblem, samples: int) -> list[tuple[np.ndarray, 
     return pts
 
 
+def frozen_solve(f, j_inv, y, tol: float, max_iter: int):
+    """Fixed point y <- y - j_inv f(y) until ||f(y)|| <= tol.
+
+    Returns (y, ||f(y)||, steps taken); the caller judges convergence.
+    """
+    y = np.asarray(y, dtype=float).copy()
+    res = np.asarray(f(y), dtype=float)
+    steps = 0
+    for _ in range(max_iter):
+        if float(np.linalg.norm(res)) <= tol:
+            break
+        y = y - j_inv @ res
+        res = np.asarray(f(y), dtype=float)
+        steps += 1
+    return y, float(np.linalg.norm(res)), steps
+
+
 def quantitative_ift(
     problem: IftProblem,
     x_target,
@@ -180,16 +197,9 @@ def quantitative_ift(
             f"radius {h_x_certified:.4g}"
         )
 
-    y = y_zero.copy() if y0 is None else np.asarray(y0, dtype=float).copy()
-    res = np.asarray(f(x_target, y), dtype=float)
-    iterations = 0
-    for _ in range(max_iter):
-        if float(np.linalg.norm(res)) <= tol:
-            break
-        y = y - j0_inv @ res
-        res = np.asarray(f(x_target, y), dtype=float)
-        iterations += 1
-    res_norm = float(np.linalg.norm(res))
+    y, res_norm, iterations = frozen_solve(
+        lambda y: f(x_target, y), j0_inv, y_zero if y0 is None else y0, tol, max_iter
+    )
     if res_norm > tol and res_norm > 1e-8:
         raise NoConvergence(
             f"implicit solve stalled at ||F|| = {res_norm:.3e} after {iterations} steps"

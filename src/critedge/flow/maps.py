@@ -27,6 +27,7 @@ __all__ = [
     "check_z1z2",
     "f_chi_p",
     "det_quartet",
+    "cluster_traces",
     "weighted_pair_trace",
     "weighted_pair_jacobian",
     "weighted_entry_jacobian",
@@ -167,19 +168,22 @@ def det_quartet(z1, z2, chi):
     return det_a * (s11 * s22 - s12 * s21)
 
 
+def cluster_traces(values, counts, chi: float, mass: float) -> tuple[complex, complex]:
+    """Trace contributions of weighted sites, normalised by ``mass``:
+    (sum c v^2 conj(v), sum c v^3 conj(v) - chi sum c |v|^4) / mass."""
+    v = np.asarray(values, dtype=complex)
+    f1 = complex(np.sum(counts * v * v * np.conj(v)))
+    f2 = complex(np.sum(counts * v**3 * np.conj(v))) - chi * float(
+        np.sum(counts * np.abs(v) ** 4)
+    )
+    return f1 / mass, f2 / mass
+
+
 def weighted_pair_trace(u1, c1, u2, c2, chi: float) -> tuple:
     """Mass-normalised traces of a weighted two-cluster configuration."""
-    u1 = np.asarray(u1, dtype=complex)
-    u2 = np.asarray(u2, dtype=complex)
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    mass = c1.sum() + c2.sum()
-    f1 = (np.sum(c1 * u1 * u1 * np.conj(u1)) + np.sum(c2 * u2 * u2 * np.conj(u2))) / mass
-    f2 = (
-        np.sum(c1 * (u1**3 * np.conj(u1) - chi * np.abs(u1) ** 4))
-        + np.sum(c2 * (u2**3 * np.conj(u2) - chi * np.abs(u2) ** 4))
-    ) / mass
-    return complex(f1), complex(f2)
+    u = np.concatenate([np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)])
+    c = np.concatenate([np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)])
+    return cluster_traces(u, c, chi, c.sum())
 
 
 def weighted_entry_jacobian(u1, c1, u2, c2, chi: float) -> np.ndarray:
@@ -207,19 +211,8 @@ def weighted_entry_jacobian(u1, c1, u2, c2, chi: float) -> np.ndarray:
 
 
 def weighted_pair_jacobian(u1, c1, u2, c2, chi: float) -> np.ndarray:
-    """Realified 4x4 Jacobian with respect to the two common shifts."""
-    u1 = np.asarray(u1, dtype=complex)
-    u2 = np.asarray(u2, dtype=complex)
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    mass = c1.sum() + c2.sum()
-    jac = np.zeros((4, 4))
-    for col, (u, w) in enumerate(((u1, c1), (u2, c2))):
-        f1x, f1y, f2x, f2y = _h_derivatives(u, chi)
-        jac[0:2, 2 * col : 2 * col + 2] = _block(
-            complex(np.sum(w * f1x)), complex(np.sum(w * f1y))
-        )
-        jac[2:4, 2 * col : 2 * col + 2] = _block(
-            complex(np.sum(w * f2x)), complex(np.sum(w * f2y))
-        )
-    return jac / mass
+    """Realified 4x4 Jacobian with respect to the two common shifts: the
+    column pairs of weighted_entry_jacobian summed within each cluster."""
+    entry = weighted_entry_jacobian(u1, c1, u2, c2, chi).reshape(4, -1, 2)
+    k1 = np.size(u1)
+    return np.hstack([entry[:, :k1].sum(axis=1), entry[:, k1:].sum(axis=1)])

@@ -139,6 +139,8 @@ class FlowPath:
 
     @classmethod
     def load_jsonl(cls, path) -> "FlowPath":
+        """Read a path written by :meth:`save_jsonl`; ValueError or KeyError
+        on a malformed file, never a guessed field."""
         grid, states, derivs, rc, rx, kinds = [], [], [], [], [], []
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -158,7 +160,9 @@ class FlowPath:
                 if row.get("segment_kind") is not None:
                     kinds.append(row["segment_kind"])
         if len(kinds) != len(grid) - 1:
-            kinds = ["shrink"] * (len(grid) - 1)
+            raise ValueError(
+                f"{len(kinds)} segment kinds for {len(grid) - 1} grid intervals"
+            )
         return cls(
             grid=tuple(grid),
             states=tuple(states),

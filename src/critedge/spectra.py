@@ -101,7 +101,6 @@ class HermitizedOperator:
 
     z: complex
     block: np.ndarray
-    eta_grid: np.ndarray | None = None
 
     @property
     def n(self) -> int:

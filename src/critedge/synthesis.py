@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergence
-from .flow.maps import f_chi_p, realify, unrealify
+from .flow.continuation import anchor_jacobian, anchor_residual, newton
+from .flow.maps import cluster_traces, realify, unrealify
 from .spectrum import DeformationSpectrum
 
 __all__ = [
@@ -34,44 +35,14 @@ def _anchor_solve(units, starts, mass_l, mass_r, chi, tol=1e-14):
     """
     mass12 = mass_l + mass_r
     p = mass_l / mass12
-    q1 = complex(np.sum(units * units * np.conj(units))) / mass12
-    q2 = (
-        complex(np.sum(units**3 * np.conj(units)))
-        - chi * float(np.sum(np.abs(units) ** 4))
-    ) / mass12
-
-    def residual(y):
-        z1, z2 = unrealify(y)
-        val = f_chi_p(z1, z2, chi, p)
-        return realify(val.f[0] + q1, val.f[1] + q2)
-
+    q = cluster_traces(units, 1.0, chi, mass12)
     for start_l, start_r in starts:
-        y = realify(start_l, start_r)
-        res = residual(y)
-        norm = float(np.linalg.norm(res))
-        ok = False
-        for _ in range(120):
-            if norm <= tol:
-                ok = True
-                break
-            z1, z2 = unrealify(y)
-            try:
-                step = np.linalg.solve(
-                    f_chi_p(z1, z2, chi, p).jacobian, res
-                )
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            for _ in range(12):
-                trial = y - lam * step
-                trial_res = residual(trial)
-                trial_norm = float(np.linalg.norm(trial_res))
-                if trial_norm < norm:
-                    break
-                lam *= 0.5
-            else:
-                break
-            y, res, norm = trial, trial_res, trial_norm
+        y, _, ok = newton(
+            lambda y: anchor_residual(y, 0j, 0j, chi, p, q),
+            lambda y: anchor_jacobian(y, 0j, 0j, chi, p),
+            realify(start_l, start_r),
+            tol,
+        )
         if ok:
             return unrealify(y)
     raise NoConvergence("anchor placement stalled from every start")

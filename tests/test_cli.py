@@ -197,6 +197,15 @@ def test_simulate_from_path_endpoint(tmp_path):
     assert summary["value"] == 1.0  # every smallest sv sits below eta = 10
 
 
+@pytest.mark.parametrize("command", [["flow", "--check"], ["simulate"]])
+def test_malformed_path_file_exits_2(tmp_path, capsys, command):
+    path_file = tmp_path / "path.jsonl"
+    row = {"t": 0.0, "eigenvalues": [[1.0, 0.0]], "multiplicities": [4]}
+    path_file.write_text(json.dumps(row) + "\n")  # no residuals, no kinds
+    assert cli.main([*command, str(path_file)]) == 2
+    assert "cannot read path" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- compare
 
 

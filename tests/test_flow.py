@@ -1,11 +1,14 @@
 """End-to-end flow construction: shrinks, pipelines, lifts, audits."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 from critedge.criticality import chi as chi_of
 from critedge.errors import (
+    ChainExhausted,
     ConditionViolated,
     NotReal,
     ResidualExceeded,
@@ -23,6 +26,8 @@ from critedge.flow import (
     shrink_clusters,
     validate_assumption,
 )
+from critedge.flow.continuation import continue_anchored
+from critedge.flow.ift import CONTRACTION_SLACK
 from critedge.flow.maps import realify, weighted_pair_trace
 from critedge.spectrum import DeformationSpectrum
 from critedge.synthesis import (
@@ -112,6 +117,19 @@ def test_shrink_rejects_empty_cluster_and_bad_grid():
         shrink_clusters([1.0], [-1.0], 1.0, -1.0, 0.2, grid=[0.0, 0.4, 0.3, 1.0])
 
 
+def test_exhausted_certificate_chain_raises_chain_exhausted():
+    # D_w F swings by 2e9 |w|, so no box around the path contracts and the
+    # chain bisects until it runs out of depth
+    def residual(t, w):
+        return w + 1e9 * w**2 - t * np.array([1e-3, 0.0, 0.0, 0.0])
+
+    def jacobian(t, w):
+        return np.eye(4) + np.diag(2e9 * w)
+
+    with pytest.raises(ChainExhausted, match="certificate chain exhausted"):
+        continue_anchored(residual, jacobian, np.linspace(0.0, 1.0, 5))
+
+
 # ------------------------------------------------- finite support pipeline
 
 
@@ -197,7 +215,27 @@ def test_fix_spectrum_flow_hits_target_exactly_with_linear_chi():
     for t, s in zip(path.grid[:: len(path.grid) // 8], path.states[:: len(path.grid) // 8]):
         line = (1 - t) * c_start + t * c_end
         assert abs(chi_of(s)[0] - line) < 1e-8
-    assert "fix_certificates" in path.meta or "pair_certificates" in path.meta or path.meta
+    # the certificate segments tile [0, 1] and each one contracts
+    certs = path.meta["certificates"]
+    assert certs[0]["t0"] == 0.0 and certs[-1]["t1"] == 1.0
+    assert all(a["t1"] == b["t0"] for a, b in zip(certs, certs[1:]))
+    assert all(c["contraction"] <= 0.5 + CONTRACTION_SLACK for c in certs)
+
+
+def test_fix_spectrum_flow_certificates_do_not_depend_on_the_grid():
+    # the chain bisects in continuous t: a coarse output grid must neither
+    # cap its depth nor change its segments
+    b = random_inverse_critical(0, n=80)
+    b0 = finite_support_flow(b, 6.0, FlowConfig(grid_points=65)).final
+    target = independent_count_target(b0)
+    coarse = fix_spectrum_flow(b0, target, FlowConfig(grid_points=9))
+    fine = fix_spectrum_flow(b0, target, FlowConfig(grid_points=257))
+
+    def segments(path):
+        return [(c["t0"], c["t1"]) for c in path.meta["certificates"]]
+
+    assert segments(coarse) == segments(fine)
+    assert len(segments(coarse)) > 1
 
 
 def test_fix_spectrum_flow_dimension_mismatch():
@@ -309,6 +347,18 @@ def test_path_jsonl_roundtrip_and_concat():
         assert np.array_equal(s.eigenvalues, t.eigenvalues)
         assert np.array_equal(s.multiplicities, t.multiplicities)
     assert back.residual_crit == joined.residual_crit
+
+
+def test_path_jsonl_without_segment_kinds_is_refused(tmp_path):
+    fn = tmp_path / "path.jsonl"
+    hermitian_flow(random_real_critical(7, n=80), 6.0, grid_points=5).save_jsonl(fn)
+    rows = [json.loads(line) for line in fn.read_text().splitlines()]
+    for row in rows:
+        row.pop("segment_kind")
+    fn.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    # an unlabelled path is not silently relabelled as a shrink
+    with pytest.raises(ValueError, match="segment kinds"):
+        FlowPath.load_jsonl(fn)
 
 
 def test_concat_refuses_mismatched_junction():
