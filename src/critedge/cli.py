@@ -208,7 +208,7 @@ def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
     summary = {
         "grid_points": len(path_a.grid),
         "final_support": int(path_a.final.eigenvalues.size),
-        "support_bound": path_b.meta.get("support_bound"),
+        "support_bound": path_b.meta.get("m_bound"),
         "phi": phi,
         "frak_c1": frak_c1,
         "passed": rep.passed,

@@ -170,7 +170,6 @@ class CriticalityReport:
     gamma: complex
     beta: float
     chi: float
-    chi_imag: float
     norm_a: float
     norm_a_inv: float
     is_critical: bool
@@ -194,7 +193,6 @@ class CriticalityReport:
             "gamma_im": self.gamma.imag,
             "beta": self.beta,
             "chi": self.chi,
-            "chi_imag": self.chi_imag,
             "norm_a": self.norm_a,
             "norm_a_inv": self.norm_a_inv,
             "is_critical": self.is_critical,
@@ -251,7 +249,6 @@ def verify_criticality(
         gamma=gamma,
         beta=beta,
         chi=chi_b,
-        chi_imag=0.0,
         norm_a=norm_a,
         norm_a_inv=norm_a_inv,
         is_critical=bool(critical),

@@ -6,12 +6,17 @@ equation for the Hermitized resolvent surrogate M reads
     1/M = S_H - i eta - tr(M),      Im M > 0,
 
 with S_H the Hermitization of A - z.  The self-energy is the scalar tr(M),
-so the full 2n x 2n problem closes over one complex number; for normal A it
-further reduces to a positive scalar v = Im tr(M) + eta solving
+so the full 2n x 2n problem (:func:`solve_mde_full`) closes over one complex
+number; for normal A it reduces to a positive scalar v = Im tr(M) + eta with
 
-    v = eta + v * mean_i  m_i / (|lambda_i - z|^2 + v^2).
+    h(v) = 1 - eta/v - S(v) = 0,      S(v) = sum_i w_i / (|lambda_i - z|^2 + v^2).
 
-Both routes are implemented independently and cross-checked in the tests.
+h increases strictly, h(eta) = -S(eta) < 0, and as the weights sum to one,
+S(v) <= 1/v^2 makes h >= 0 at v+ = (eta + sqrt(eta^2 + 4))/2.  So each
+(z, eta) has one root in [eta, v+], and :func:`solve_v` keeps Newton's
+method inside that bracket; it converges even where h' vanishes like
+eta^(2/3) at a critical point (Ajanki, Erdős & Krüger, Mem. AMS 2019).
+The tests cross-check the scalar and the full route.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import hessian_at_origin, scaling_gamma, _eigs_of_hessian
+from .criticality import hessian_at_origin, _eigs_of_hessian
 from .errors import InvalidEta, NoConvergence, SingularIterate
 from .spectrum import DeformationSpectrum
 
@@ -28,6 +33,7 @@ __all__ = [
     "MdeSolution",
     "FullMdeSolution",
     "FlowScalings",
+    "solve_v",
     "solve_v_scalar",
     "solve_mde_full",
     "cubic_residual",
@@ -39,6 +45,10 @@ __all__ = [
 
 # column order of the batch CSV interface
 BATCH_FIELDS = ("z_re", "z_im", "eta", "v", "residual", "iterations")
+
+EPS = float(np.finfo(float).eps)
+# steps per point of solve_v; from v+ it needs about 5-25
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -87,130 +97,80 @@ class FlowScalings:
     eta_t: float
 
 
-def _scalar_defect(v: float, eta: float, d: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Defect g(v) = v - eta - v*S(v) and derivative g'(v)."""
-    den = d + v * v
-    s = float(np.sum(w / den))
-    sp = float(np.sum(w * (d - v * v) / (den * den)))
-    return v - eta - v * s, 1.0 - sp
+def solve_v(spec: DeformationSpectrum, z, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scalar Dyson roots v(z, eta) at every point of the broadcast of z and eta.
 
+    Newton on h starts at v+, the top of the bracket [eta, v+] (module
+    docstring).  Each evaluation of h moves one end of the bracket to the
+    evaluated point, and a step that leaves the bracket is replaced by
+    bisection.  A point stops once h(v) is zero to the rounding of its
+    terms or the bracket is a few ulps wide, and takes its last Newton step.
 
-def solve_v_scalar(
-    spec: DeformationSpectrum,
-    z: complex = 0.0,
-    eta: float = 1e-6,
-    tol: float = 1e-12,
-    max_iter: int = 800,
-) -> MdeSolution:
-    """Solve the scalar reduced Dyson equation for a normal deformation.
-
-    Damped fixed-point iteration with the damping halved on oscillation,
-    followed by a Newton polish pushed to the numerical noise floor; a
-    bracketed bisection rescue covers pathological inputs.
-
-    Parameters
-    ----------
-    spec : DeformationSpectrum
-        Spectrum of A; zero eigenvalues are allowed here (only criticality
-        checks require invertibility).
-    z, eta : evaluation point; ``eta`` must be positive.
-    tol : absolute tolerance on the scalar defect.
-
-    Returns
-    -------
-    MdeSolution with ``v > 0`` and ``m_trace = i(v - eta)``.
+    Returns arrays (v, im_m, iterations) shaped like the broadcast: im_m =
+    v S(v) is Im<M> (v - eta would cancel at large eta), iterations counts
+    the evaluations of h.  Raises InvalidEta for eta that is not positive
+    and finite, NoConvergence for a point open after MAX_ITER steps or not
+    finite.
     """
-    if not (eta > 0.0) or not np.isfinite(eta):
-        raise InvalidEta(f"eta must be positive and finite, got {eta}")
-    d = np.abs(spec.eigenvalues - z) ** 2
+    z, eta = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(eta, dtype=float))
+    shape = eta.shape
+    z, eta = z.ravel(), eta.ravel()
+    bad = ~(np.isfinite(eta) & (eta > 0.0))
+    if np.any(bad):
+        raise InvalidEta(f"eta must be positive and finite, got {eta[bad][0]}")
+    d = np.abs(spec.eigenvalues[None, :] - z[:, None]) ** 2
     w = spec.weights
-
-    # initial guess balancing the cubic regime against the trivial one
-    nz = d > 0.0
-    guesses = [eta]
-    if np.any(nz):
-        i4z = float(np.sum(w[nz] / d[nz] ** 2))
-        if i4z > 0.0:
-            guesses.append((eta / i4z) ** (1.0 / 3.0))
-    if np.any(~nz):
-        guesses.append(float(np.sqrt(np.sum(w[~nz]))))
-    v = max(guesses)
-
-    omega = 1.0
-    last_step = 0.0
-    iterations = 0
-    g, _ = _scalar_defect(v, eta, d, w)
-    for _ in range(max_iter):
-        if abs(g) < 1e-4:
+    lo = eta.copy()
+    hi = 0.5 * eta + np.hypot(0.5 * eta, 1.0)
+    v = hi.copy()
+    iterations = np.zeros(eta.size, dtype=int)
+    todo = np.arange(eta.size)
+    for _ in range(MAX_ITER):
+        if todo.size == 0:
             break
-        target = eta + v * float(np.sum(w / (d + v * v)))
-        step = target - v
-        if step * last_step < 0.0:
-            omega = max(omega / 2.0, 1.0 / 64.0)
-        last_step = step
-        v_new = (1.0 - omega) * v + omega * target
-        if v_new <= 0.0:
-            v_new = v / 2.0
-        v = v_new
-        iterations += 1
-        g, _ = _scalar_defect(v, eta, d, w)
+        vo, eo = v[todo], eta[todo]
+        den = d[todo] + (vo * vo)[:, None]
+        q = w / den
+        s = q.sum(axis=1)
+        h = 1.0 - eo / vo - s
+        dh = eo / (vo * vo) + 2.0 * vo * np.sum(q / den, axis=1)
+        below = h < 0.0
+        lo_o = np.where(below, vo, lo[todo])
+        hi_o = np.where(below, hi[todo], vo)
+        step = vo - h / dh
+        # h is zero to the rounding of its three terms, or the bracket closed
+        done = np.abs(h) <= 4.0 * EPS * (1.0 + eo / vo + s)
+        done |= hi_o - lo_o <= 4.0 * EPS * hi_o
+        inside = (step > lo_o) & (step < hi_o)
+        v[todo] = np.where(done | inside, step, 0.5 * (lo_o + hi_o))
+        lo[todo], hi[todo] = lo_o, hi_o
+        iterations[todo] += 1
+        todo = todo[~done]
+    im_m = v * np.sum(w / (d + (v * v)[:, None]), axis=1)
+    failed = ~np.isfinite(im_m)
+    failed[todo] = True
+    if np.any(failed):
+        k = np.argmax(failed)
+        raise NoConvergence(f"scalar Dyson solve failed at z={z[k]}, eta={eta[k]:.3e}")
+    return v.reshape(shape), im_m.reshape(shape), iterations.reshape(shape)
 
-    # Newton polish down to the floating-point noise floor
-    best_v, best_g = v, abs(g)
-    for _ in range(120):
-        g, gp = _scalar_defect(v, eta, d, w)
-        if abs(g) < best_g:
-            best_v, best_g = v, abs(g)
-        if gp == 0.0:
-            break
-        step = -g / gp
-        v_next = v + step
-        while v_next <= 0.0:
-            step /= 2.0
-            v_next = v + step
-        if v_next == v:
-            break
-        v = v_next
-        iterations += 1
-    v, g = best_v, best_g
 
-    if g > tol:
-        v, g, extra = _bisection_rescue(eta, d, w, tol)
-        iterations += extra
-    converged = g <= tol
+def solve_v_scalar(spec: DeformationSpectrum, z: complex = 0.0, eta: float = 1e-6) -> MdeSolution:
+    """The scalar Dyson solution at one point, a per-point view of :func:`solve_v`.
+
+    ``m_trace = i Im<M>``, ``residual`` is the defect |v - eta - v S(v)|,
+    and ``converged`` is always true (solve_v raises instead).
+    """
+    v, im_m, iterations = (float(a) for a in solve_v(spec, z, eta))
     return MdeSolution(
         z=complex(z),
         eta=float(eta),
-        v=float(v),
-        m_trace=1j * (v - eta),
-        residual=float(g),
-        iterations=iterations,
-        converged=bool(converged),
+        v=v,
+        m_trace=1j * im_m,
+        residual=abs(v - eta - im_m),
+        iterations=int(iterations),
+        converged=True,
     )
-
-
-def _bisection_rescue(eta, d, w, tol, max_iter=200):
-    lo, hi = eta * (1.0 - 1e-12), max(1.0, 2.0 * eta)
-    glo, _ = _scalar_defect(lo, eta, d, w)
-    ghi, _ = _scalar_defect(hi, eta, d, w)
-    it = 0
-    while ghi < 0.0 and it < 80:
-        hi *= 2.0
-        ghi, _ = _scalar_defect(hi, eta, d, w)
-        it += 1
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        gm, _ = _scalar_defect(mid, eta, d, w)
-        it += 1
-        if abs(gm) <= tol or hi - lo < 1e-17 * max(1.0, mid):
-            return mid, abs(gm), it
-        if gm * glo <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    mid = 0.5 * (lo + hi)
-    gm, _ = _scalar_defect(mid, eta, d, w)
-    return mid, abs(gm), it
 
 
 def _hermitization(a, z: complex) -> np.ndarray:
@@ -323,27 +283,22 @@ def solve_mde_full(
 
 
 def solve_batch(spec: DeformationSpectrum, points) -> list[dict]:
-    """Solve the scalar equation on a grid of (z, eta) points.
+    """Solve the scalar equation on a grid of (z, eta) points in one call.
 
     ``points`` is an iterable of mappings with keys z_re, z_im, eta (the
-    JSON batch format); returns one dict per point in BATCH_FIELDS order.
+    JSON batch format); returns one dict per point in BATCH_FIELDS order,
+    with the defect |v - eta - v S(v)| as residual and the solve_v steps
+    as iterations.
     """
-    rows = []
-    for p in points:
-        z = complex(float(p["z_re"]), float(p["z_im"]))
-        eta = float(p["eta"])
-        sol = solve_v_scalar(spec, z, eta)
-        rows.append(
-            {
-                "z_re": z.real,
-                "z_im": z.imag,
-                "eta": eta,
-                "v": sol.v,
-                "residual": sol.residual,
-                "iterations": sol.iterations,
-            }
+    pts = np.array([(p["z_re"], p["z_im"], p["eta"]) for p in points], dtype=float)
+    pts = pts.reshape(-1, 3)
+    v, im_m, iterations = solve_v(spec, pts[:, 0] + 1j * pts[:, 1], pts[:, 2])
+    return [
+        {"z_re": a, "z_im": b, "eta": e, "v": x, "residual": abs(x - e - m), "iterations": k}
+        for (a, b, e), x, m, k in zip(
+            pts.tolist(), v.tolist(), im_m.tolist(), iterations.tolist()
         )
-    return rows
+    ]
 
 
 def cubic_residual(

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..criticality import chi as chi_of
 from ..errors import (
@@ -507,6 +506,8 @@ def _align_supports(b0, b1, tol):
     site keeps its value on both sides and its whole count travels as
     deficit mass.
     """
+    from scipy.optimize import linear_sum_assignment
+
     s0 = b0.canonical(0.0)
     s1 = b1.canonical(0.0)
     z0, m0 = s0.eigenvalues, s0.multiplicities

@@ -31,7 +31,7 @@ from ..errors import (
 )
 from ..spectrum import DeformationSpectrum
 from .ift import IftProblem, frozen_solve, quantitative_ift
-from .maps import f_chi_p, realify, unrealify
+from .maps import pair_jacobian, pair_traces, realify, unrealify
 from .paths import FlowPath
 
 __all__ = [
@@ -95,14 +95,14 @@ def anchor_residual(w, z1: complex, z2: complex, chi: float, p: float, q) -> np.
     """Realified f_{chi,p}(z1 + w1, z2 + w2) + q: zero when the whole
     spectrum has tr B^2 B* = 0 and tr B^3 B* = chi tr |B|^4."""
     w1, w2 = unrealify(w)
-    val = f_chi_p(z1 + w1, z2 + w2, chi, p)
-    return realify(val.f[0] + q[0], val.f[1] + q[1])
+    f1, f2 = pair_traces(z1 + w1, z2 + w2, chi, p)
+    return realify(f1 + q[0], f2 + q[1])
 
 
 def anchor_jacobian(w, z1: complex, z2: complex, chi: float, p: float) -> np.ndarray:
     """Jacobian of :func:`anchor_residual` in w (q does not depend on w)."""
     w1, w2 = unrealify(w)
-    return f_chi_p(z1 + w1, z2 + w2, chi, p).jacobian
+    return pair_jacobian(z1 + w1, z2 + w2, chi, p)
 
 
 # ------------------------------------------------------------------ solvers

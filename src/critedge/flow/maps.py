@@ -26,6 +26,8 @@ __all__ = [
     "PointMapValue",
     "check_z1z2",
     "f_chi_p",
+    "pair_traces",
+    "pair_jacobian",
     "det_quartet",
     "cluster_traces",
     "weighted_pair_trace",
@@ -99,26 +101,11 @@ def f_chi_p(z1: complex, z2: complex, chi: float, p: float,
     inf, which is how degenerate corners (chi = 1 with both points real)
     are probed.
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
     if c is not None:
-        failures = check_z1z2(z1, z2, chi, p, c)
+        failures = check_z1z2(complex(z1), complex(z2), chi, p, c)
         if failures:
             raise ConditionViolated(failures)
-    q = 1.0 - p
-    f1 = p * z1 * z1 * np.conj(z1) + q * z2 * z2 * np.conj(z2)
-    f2 = (
-        p * z1**3 * np.conj(z1)
-        + q * z2**3 * np.conj(z2)
-        - chi * (p * abs(z1) ** 4 + q * abs(z2) ** 4)
-    )
-    a1x, a1y, a2x, a2y = _h_derivatives(np.asarray(z1), chi)
-    b1x, b1y, b2x, b2y = _h_derivatives(np.asarray(z2), chi)
-    jac = np.zeros((4, 4))
-    jac[0:2, 0:2] = p * _block(a1x, a1y)
-    jac[0:2, 2:4] = q * _block(b1x, b1y)
-    jac[2:4, 0:2] = p * _block(a2x, a2y)
-    jac[2:4, 2:4] = q * _block(b2x, b2y)
+    jac = pair_jacobian(z1, z2, chi, p)
     try:
         inv_norm = float(np.linalg.norm(np.linalg.inv(jac), 2))
     except np.linalg.LinAlgError:
@@ -127,7 +114,34 @@ def f_chi_p(z1: complex, z2: complex, chi: float, p: float,
         raise SingularJacobian(
             f"trace-map Jacobian singular at z1={z1}, z2={z2}, chi={chi}, p={p}"
         )
-    return PointMapValue((complex(f1), complex(f2)), jac, inv_norm)
+    return PointMapValue(pair_traces(z1, z2, chi, p), jac, inv_norm)
+
+
+def pair_traces(z1: complex, z2: complex, chi: float, p: float) -> tuple:
+    """The two traces (F1, F2) of :func:`f_chi_p`, without its checks."""
+    z1, z2 = complex(z1), complex(z2)
+    q = 1.0 - p
+    f1 = p * z1 * z1 * np.conj(z1) + q * z2 * z2 * np.conj(z2)
+    f2 = (
+        p * z1**3 * np.conj(z1)
+        + q * z2**3 * np.conj(z2)
+        - chi * (p * abs(z1) ** 4 + q * abs(z2) ** 4)
+    )
+    return complex(f1), complex(f2)
+
+
+def pair_jacobian(z1: complex, z2: complex, chi: float, p: float) -> np.ndarray:
+    """The realified 4x4 Jacobian of :func:`f_chi_p`, without its inverse norm."""
+    z1, z2 = complex(z1), complex(z2)
+    a1x, a1y, a2x, a2y = _h_derivatives(np.asarray(z1), chi)
+    b1x, b1y, b2x, b2y = _h_derivatives(np.asarray(z2), chi)
+    q = 1.0 - p
+    jac = np.zeros((4, 4))
+    jac[0:2, 0:2] = p * _block(a1x, a1y)
+    jac[0:2, 2:4] = q * _block(b1x, b1y)
+    jac[2:4, 0:2] = p * _block(a2x, a2y)
+    jac[2:4, 2:4] = q * _block(b2x, b2y)
+    return jac
 
 
 def det_quartet(z1, z2, chi):

@@ -16,10 +16,9 @@ from itertools import permutations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .criticality import scaling_gamma
-from .dyson import FlowScalings, solve_v_scalar
+from .dyson import FlowScalings, solve_v, solve_v_scalar
 from .errors import (
     DimensionMismatch,
     ConditionViolated,
@@ -55,6 +54,12 @@ __all__ = [
 ]
 
 MODELS = ("ginibre", "iid-bernoulli-like", "iid-custom")
+
+# eta quadrature of log_det_statistic: PANELS log-spaced Gauss-Legendre
+# panels of PANEL_NODES nodes each, from eta_t up to ETA_UPPER
+ETA_UPPER = 1e4
+PANELS = 48
+PANEL_NODES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +266,9 @@ _NAMED_TEST_FUNCTIONS = {
 }
 
 
-def _statistic_one_trial(spec, model, k, test_function, n, gamma, seed):
-    x = sample_matrix(model, n, seed)
-    w = rescale(deformed_eigenvalues(spec, x), n, gamma)
+def _statistic_one_trial(spec, model, k, test_function, gamma, seed):
+    x = sample_matrix(model, spec.n, seed)
+    w = rescale(deformed_eigenvalues(spec, x), spec.n, gamma)
     if k == 1:
         return float(np.sum(np.asarray(test_function(w), dtype=float)))
     # distinct ordered k-tuples; only small k is practical here
@@ -279,7 +284,6 @@ def estimate_statistic(
     k: int,
     test_function,
     trials: int,
-    n: int | None = None,
     seed0: int = 0,
     jobs: int = 1,
     precision: float | None = None,
@@ -295,13 +299,11 @@ def estimate_statistic(
         test_function = _NAMED_TEST_FUNCTIONS[test_function]
     else:
         fn_id = getattr(test_function, "__name__", "custom")
-    if n is None:
-        n = spec.n
     if k < 1:
         raise ConditionViolated(f"tuple order must be positive, got {k}")
     gamma = scaling_gamma(spec)
     seeds = [int(seed0) + j for j in range(int(trials))]
-    args = [(spec, model, k, test_function, n, gamma, s) for s in seeds]
+    args = [(spec, model, k, test_function, gamma, s) for s in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_trial = list(pool.map(_statistic_one_trial, *zip(*args)))
@@ -324,7 +326,7 @@ def estimate_statistic(
         value=value,
         std_error=std_error,
         trials=int(trials),
-        n=int(n),
+        n=spec.n,
         gamma=complex(gamma),
         per_trial=per_trial,
     )
@@ -426,6 +428,8 @@ def eta_log_identity(singular_values, split: float = 1.0):
     ``split`` and in closed form above it; summed over singular values this
     reproduces -log|det H^z|.  Returns (numeric, analytic) arrays.
     """
+    from scipy.integrate import quad
+
     svs = np.asarray(singular_values, dtype=float)
     numeric = np.empty_like(svs)
     for i, lam in enumerate(svs):
@@ -451,37 +455,27 @@ def log_det_statistic(
     x: np.ndarray,
     w: complex,
     scalings: FlowScalings,
-    eta_upper: float = 1e4,
-    panels: int = 48,
-    panel_nodes: int = 10,
 ) -> float:
     """Centered log-determinant of the Hermitization at a rescaled point.
 
     Tr log|H - i eta_t| minus its deterministic counterpart, evaluated as
     the eta-integral of Im Tr G - 2N Im<M> from eta_t upward on log-spaced
-    Gauss-Legendre panels.  The 1/eta leading terms cancel exactly, so the
-    truncation at eta_upper costs O(1/eta_upper^2).
+    Gauss-Legendre panels, with Im<M> from one solve_v call over all
+    nodes.  The 1/eta leading terms cancel exactly, so the truncation at
+    ETA_UPPER costs O(1/ETA_UPPER^2).
     """
     if scalings.eta_t <= 0.0:
         raise ConditionViolated("regularization scale eta_t must be positive")
     n = spec_t.n
     z_w = complex(w) / (scalings.gamma_t * float(n) ** 0.25)
-    svs = hermitize(spec_t, x, z_w).singular_values()
-    sv2 = svs * svs
-
-    def integrand(eta: float) -> float:
-        im_tr_g = float(np.sum(2.0 * eta / (sv2 + eta * eta)))
-        sol = solve_v_scalar(spec_t, z=z_w, eta=eta)
-        return im_tr_g - 2.0 * n * (sol.v - eta)
-
-    edges = np.geomspace(scalings.eta_t, eta_upper, panels + 1)
-    nodes, weights = leggauss(panel_nodes)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-        for u, wt in zip(nodes, weights):
-            total += rad * wt * integrand(mid + rad * u)
-    return total
+    sv2 = hermitize(spec_t, x, z_w).singular_values() ** 2
+    edges = np.geomspace(scalings.eta_t, ETA_UPPER, PANELS + 1)
+    nodes, weights = leggauss(PANEL_NODES)
+    mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    etas = (mid[:, None] + rad[:, None] * nodes).ravel()
+    im_tr_g = np.sum(2.0 * etas[:, None] / (sv2 + etas[:, None] ** 2), axis=1)
+    _, im_m, _ = solve_v(spec_t, z_w, etas)
+    return float(np.sum((rad[:, None] * weights).ravel() * (im_tr_g - 2.0 * n * im_m)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +515,7 @@ def local_law_dispersion(
     Both traces are purely imaginary on the imaginary axis, so the spread
     of the imaginary part is the full fluctuation.
     """
-    sol = solve_v_scalar(spec, z=z, eta=eta)
-    im_m = sol.v - eta
+    im_m = solve_v_scalar(spec, z=z, eta=eta).m_trace.imag
     gaps = np.empty(int(trials))
     for j in range(int(trials)):
         svs = sample_ensemble(spec, model, seed0 + j, z=z).singular_values

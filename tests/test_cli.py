@@ -82,6 +82,7 @@ def test_flow_build_and_check_cycle(tmp_path, capsys):
     assert rc == 0
     report = json.loads(report_file.read_text())
     assert report["passed"] is True
+    assert report["support_bound"] >= report["final_support"]
 
     rc = cli.main(["flow", "--check", str(path_file), "--frak-c1",
                    str(report["frak_c1"])])

@@ -13,9 +13,10 @@ from critedge.dyson import (
     rescaled_cubic_residual,
     solve_batch,
     solve_mde_full,
+    solve_v,
     solve_v_scalar,
 )
-from critedge.errors import InvalidEta
+from critedge.errors import InvalidEta, NoConvergence
 from critedge.spectrum import DeformationSpectrum
 from critedge.synthesis import quartet_deformation, random_deformation_critical
 
@@ -44,6 +45,44 @@ def test_v_monotone_in_eta(pm_spectrum):
 def test_invalid_eta_rejected(pm_spectrum):
     with pytest.raises(InvalidEta):
         solve_mde_full(pm_spectrum, eta=-1.0)
+    with pytest.raises(InvalidEta):
+        solve_v(pm_spectrum, 0.0, [1e-3, -1.0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_v_matches_bisection_at_the_edge(seed, bisect_v):
+    # near the critical origin h' ~ eta^(2/3) is small, so a small defect
+    # alone does not pin v; compare v itself with the bisection root
+    spec = random_deformation_critical(seed, n=80)
+    rng = np.random.default_rng(seed)
+    z = 0.02 * np.sqrt(rng.uniform(size=16)) * np.exp(2j * np.pi * rng.uniform(size=16))
+    eta = 10.0 ** rng.uniform(-9.0, -5.0, size=16)
+    rows = solve_batch(
+        spec, [{"z_re": a.real, "z_im": a.imag, "eta": e} for a, e in zip(z, eta)]
+    )
+    for a, e, row in zip(z, eta, rows):
+        ref = bisect_v(spec, a, [e])[0]
+        assert abs(row["v"] - ref) <= 1e-9 * ref
+
+
+def test_v_matches_bisection_at_an_atom(pm_spectrum, bisect_v):
+    etas = np.geomspace(1e-9, 1e-3, 7)
+    v, im_m, _ = solve_v(pm_spectrum, 1.0, etas)
+    ref = bisect_v(pm_spectrum, 1.0, etas)
+    assert np.all(np.abs(v - ref) <= 1e-9 * ref)
+    assert np.all(np.abs(v - etas - im_m) <= 1e-15)
+
+
+def test_solve_v_broadcasts_like_single_points(pm_spectrum):
+    z = np.array([0.0, 0.3 + 0.1j, 3.0])[:, None]
+    eta = np.array([1e-8, 1e-3, 1.0, 1e4])
+    v, im_m, iterations = solve_v(pm_spectrum, z, eta)
+    assert v.shape == im_m.shape == iterations.shape == (3, 4)
+    for i, j in np.ndindex(v.shape):
+        sol = solve_v_scalar(pm_spectrum, complex(z[i, 0]), eta[j])
+        assert (sol.v, sol.m_trace.imag, sol.iterations) == (v[i, j], im_m[i, j], iterations[i, j])
+    with pytest.raises(NoConvergence):
+        solve_v(pm_spectrum, complex("nan"), 1e-3)
 
 
 def test_scalar_matches_full_on_samples(pm_spectrum):

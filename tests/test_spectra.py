@@ -216,6 +216,27 @@ def test_log_det_statistic_finite_and_deterministic():
     assert rep.is_critical
 
 
+@pytest.mark.parametrize("w", [0.0, 0.5 + 0.5j, -1.0j])
+def test_log_det_statistic_matches_panel_rule_with_oracle_v(w, bisect_v):
+    spec = quartet_deformation(0.4, n=48)
+    sc = flow_scalings(spec, 48)
+    x = sample_matrix("ginibre", 48, seed=6)
+    z = complex(w) / (sc.gamma_t * 48**0.25)
+    sv2 = np.linalg.svd(x + np.diag(spec.expand() - z), compute_uv=False) ** 2
+    # the rule of log_det_statistic: 48 log-spaced panels of 10
+    # Gauss-Legendre nodes from eta_t to 1e4
+    edges = np.geomspace(sc.eta_t, 1e4, 49)
+    nodes, wts = np.polynomial.legendre.leggauss(10)
+    rad = 0.5 * (edges[1:] - edges[:-1])
+    etas = (0.5 * (edges[1:] + edges[:-1])[:, None] + rad[:, None] * nodes).ravel()
+    v = bisect_v(spec, z, etas)
+    # Im<M> as v S(v): v - eta cancels where eta is large
+    im_m = v * np.sum(spec.weights / (np.abs(spec.eigenvalues - z) ** 2 + v[:, None] ** 2), axis=1)
+    im_tr_g = np.sum(2.0 * etas[:, None] / (sv2 + etas[:, None] ** 2), axis=1)
+    expected = float(np.sum((rad[:, None] * wts).ravel() * (im_tr_g - 2.0 * 48 * im_m)))
+    assert abs(log_det_statistic(spec, x, w, sc) - expected) <= 1e-10
+
+
 # ------------------------------------------------------------------ files
 
 
