@@ -206,20 +206,15 @@ def sample_ensemble(
     model: str,
     seed: int,
     z: complex = 0.0,
-    with_singular_values: bool = True,
 ) -> EnsembleSample:
     """One trial: eigenvalues of A + X, singular values of A + X - z."""
     x = sample_matrix(model, spec.n, seed)
-    eigs = deformed_eigenvalues(spec, x)
-    svs = None
-    if with_singular_values:
-        svs = hermitize(spec, x, z).singular_values()
     return EnsembleSample(
         seed=int(seed),
         n=spec.n,
         model=model,
-        eigenvalues=eigs,
-        singular_values=svs,
+        eigenvalues=deformed_eigenvalues(spec, x),
+        singular_values=hermitize(spec, x, z).singular_values(),
         base_point=complex(z),
     )
 
@@ -360,6 +355,71 @@ class GaussianField:
         return self.cutoff * self.sigma
 
 
+# entries of the Hyman vectors above this are rescaled away, per node
+HYMAN_RESCALE = 1e100
+
+
+def _hessenberg(a: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg form Q* A Q of a square matrix, Q unitary.
+
+    Householder reflections; a column already zero below its subdiagonal is
+    left alone, so a diagonal A stays diagonal, zero subdiagonal included.
+    """
+    h = np.array(a, dtype=complex)
+    for k in range(h.shape[0] - 2):
+        x = h[k + 1:, k]
+        if not np.any(x[1:]):
+            continue
+        v = x.copy()
+        v[0] += np.exp(1j * np.angle(x[0])) * np.linalg.norm(x)
+        v /= np.linalg.norm(v)
+        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
+        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
+        h[k + 2:, k] = 0.0
+    return h
+
+
+def _hyman_log_abs_det(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log|det(H - z)| of an upper Hessenberg H at each shift of z.
+
+    Hyman's method: with x_m = 1, rows 2..m of (H - z) x = 0 fix x_(m-1),
+    ..., x_1 by back-substitution through the subdiagonal, and then
+    |det(H - z)| = |((H - z) x)_1| * prod |h_(i+1,i)|.  The vectors of all
+    shifts are the columns of one (m, nodes) array; a column is rescaled
+    when an entry passes HYMAN_RESCALE.  An exactly zero subdiagonal entry
+    splits H into diagonal blocks, whose log-determinants add.  Shifts on
+    the spectrum give -inf.
+    """
+    n = h.shape[0]
+    cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0.0) + 1), n]
+    out = np.zeros(z.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            b = h[lo:hi, lo:hi]
+            m = hi - lo
+            x = np.zeros((m, z.size), dtype=complex)
+            x[-1] = 1.0
+            log_scale = np.zeros(z.size)
+            for i in range(m - 1, 0, -1):
+                x[i - 1] = (z * x[i] - b[i, i:] @ x[i:]) / b[i, i - 1]
+                big = np.flatnonzero(np.abs(x[i - 1]) > HYMAN_RESCALE)
+                if big.size:
+                    scale = np.abs(x[i - 1, big])
+                    x[:, big] /= scale
+                    log_scale[big] += np.log(scale)
+            first = b[0] @ x - z * x[0]
+            sub_log = np.sum(np.log(np.abs(np.diagonal(b, -1))))
+            out += np.log(np.abs(first)) + log_scale + sub_log
+    return out
+
+
+def _near_spectrum(z: np.ndarray, eigs: np.ndarray, floor: float) -> np.ndarray:
+    near = np.zeros(z.shape, dtype=bool)
+    for e in eigs:
+        near |= np.abs(z - e) <= floor
+    return near
+
+
 def girko_check(
     spec: DeformationSpectrum,
     x: np.ndarray,
@@ -375,7 +435,15 @@ def girko_check(
     (1/4piN) integral of Laplacian(f) * log|det H^z| over a tensor
     Gauss-Legendre grid centered on the field.  The sign follows from
     moving the Laplacian onto log|det| by two integrations by parts.
-    Nodes landing within sv_floor of the spectrum are jittered and retried.
+
+    log|det H^z| = 2 log|det(A + X - z)| comes from one Householder
+    reduction of A + X to Hessenberg form and Hyman's O(N^2) recurrence at
+    every node (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 14.6), split into blocks at exactly zero subdiagonal entries; it
+    never uses the eigenvalues, so lhs and rhs stay independent routes.
+    A node whose log|det| is not finite, or that lies within sv_floor of
+    an eigenvalue of the lhs, moves by jitter * (attempt + 1) * (1 + i);
+    a node still pinned after max_retries moves raises QuadratureUnstable.
     """
     x = np.asarray(x, dtype=complex)
     eigs = deformed_eigenvalues(spec, x)
@@ -385,32 +453,30 @@ def girko_check(
     nodes, weights = leggauss(quad_points)
     gx = f.center.real + half * nodes
     gy = f.center.imag + half * nodes
-    w2 = np.outer(weights, weights) * half * half
+    z = (gx[:, None] + 1j * gy[None, :]).ravel()
+    w2 = (np.outer(weights, weights) * half * half).ravel()
 
     base = x.copy()
     idx = np.arange(spec.n)
     base[idx, idx] += spec.expand()
+    h = _hessenberg(base)
 
-    total = 0.0
+    logdet = np.empty(z.size)
+    todo = np.arange(z.size)
     jittered = 0
-    for i in range(quad_points):
-        for j in range(quad_points):
-            z = complex(gx[i], gy[j])
-            for attempt in range(max_retries + 1):
-                shifted = base.copy()
-                shifted[idx, idx] -= z
-                svs = np.linalg.svd(shifted, compute_uv=False)
-                if svs[-1] > sv_floor:
-                    break
-                jittered += 1
-                z += jitter * (attempt + 1) * (1.0 + 1.0j)
-            else:
-                raise QuadratureUnstable(
-                    f"quadrature node {z} pinned to the spectrum after "
-                    f"{max_retries} jitters"
-                )
-            logdet = 2.0 * float(np.sum(np.log(svs)))
-            total += w2[i, j] * float(f.laplacian(z)) * logdet
+    for attempt in range(max_retries + 1):
+        logdet[todo] = _hyman_log_abs_det(h, z[todo])
+        todo = todo[~np.isfinite(logdet[todo]) | _near_spectrum(z[todo], eigs, sv_floor)]
+        if todo.size == 0:
+            break
+        jittered += todo.size
+        z[todo] += jitter * (attempt + 1) * (1.0 + 1.0j)
+    else:
+        raise QuadratureUnstable(
+            f"quadrature node {z[todo[0]]} pinned to the spectrum after "
+            f"{max_retries} jitters"
+        )
+    total = np.sum(w2 * f.laplacian(z) * 2.0 * logdet)
     rhs = float(total / (4.0 * np.pi * spec.n))
     return GirkoReport(
         lhs=lhs,
@@ -491,11 +557,14 @@ def smallest_sv_tail(
     seed0: int = 0,
 ) -> TailEstimate:
     """Fraction of trials whose smallest singular value of A + X - z falls
-    below eta, with binomial error bars."""
+    below eta, with binomial error bars.
+
+    Each trial takes one SVD of A + X - z and no eigenvalues.
+    """
     hits = 0
     for j in range(int(trials)):
-        sample = sample_ensemble(spec, model, seed0 + j, z=z)
-        if float(sample.singular_values[0]) < eta:
+        x = sample_matrix(model, spec.n, seed0 + j)
+        if float(hermitize(spec, x, z).singular_values()[0]) < eta:
             hits += 1
     p = hits / trials
     err = float(np.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials))
@@ -518,7 +587,7 @@ def local_law_dispersion(
     im_m = solve_v_scalar(spec, z=z, eta=eta).m_trace.imag
     gaps = np.empty(int(trials))
     for j in range(int(trials)):
-        svs = sample_ensemble(spec, model, seed0 + j, z=z).singular_values
+        svs = hermitize(spec, sample_matrix(model, spec.n, seed0 + j), z).singular_values()
         im_g = float(np.mean(2.0 * eta / (svs * svs + eta * eta))) / 2.0
         gaps[j] = im_g - im_m
     return float(np.std(gaps, ddof=1))

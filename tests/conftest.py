@@ -46,6 +46,36 @@ def bisect_v():
     return solve
 
 
+@pytest.fixture
+def girko_svd_oracle():
+    """Oracle for the rhs of the Girko identity: one full SVD per node.
+
+    Same tensor Gauss-Legendre rule and jitter policy as girko_check, with
+    the smallest singular value as the jitter test.  Returns
+    (rhs, jittered_nodes).
+    """
+
+    def rhs(spec: DeformationSpectrum, x, f, quad_points, sv_floor=1e-12, jitter=1e-8):
+        nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+        half = f.half_width
+        base = np.asarray(x, dtype=complex) + np.diag(spec.expand())
+        total, jittered = 0.0, 0
+        for i in range(quad_points):
+            for j in range(quad_points):
+                z = complex(f.center.real + half * nodes[i], f.center.imag + half * nodes[j])
+                for attempt in range(6):
+                    svs = np.linalg.svd(base - z * np.eye(spec.n), compute_uv=False)
+                    if svs[-1] > sv_floor:
+                        break
+                    jittered += 1
+                    z += jitter * (attempt + 1) * (1.0 + 1.0j)
+                logdet = 2.0 * float(np.sum(np.log(svs)))
+                total += weights[i] * weights[j] * half * half * float(f.laplacian(z)) * logdet
+        return total / (4.0 * np.pi * spec.n), jittered
+
+    return rhs
+
+
 def spectrum_close(a: DeformationSpectrum, b: DeformationSpectrum, tol: float) -> bool:
     av, bv = np.sort_complex(a.expand()), np.sort_complex(b.expand())
     return av.size == bv.size and float(np.max(np.abs(av - bv))) <= tol

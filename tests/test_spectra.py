@@ -1,13 +1,17 @@
 """Monte Carlo layer: ensembles, statistics, Girko checks, tails."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from critedge import cli, spectra
 from critedge.criticality import verify_criticality
 from critedge.dyson import flow_scalings
-from critedge.errors import ConditionViolated, UnknownModel
+from critedge.errors import ConditionViolated, QuadratureUnstable, UnknownModel
 from critedge.spectra import (
     GaussianField,
     anisotropic_bump,
@@ -27,7 +31,7 @@ from critedge.spectra import (
     save_trials_csv,
     smallest_sv_tail,
 )
-from critedge.synthesis import quartet_deformation
+from critedge.synthesis import quartet_deformation, random_deformation_critical
 
 MODELS = ("ginibre", "iid-bernoulli-like", "iid-custom")
 
@@ -159,6 +163,35 @@ def test_smallest_sv_tail_limits():
     assert high.std_error > 0
 
 
+def test_sv_statistics_compute_no_eigenvalues(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues computed and thrown away")
+
+    monkeypatch.setattr(spectra, "deformed_eigenvalues", refuse)
+    spec = quartet_deformation(0.5, n=32)
+    assert 0.0 <= smallest_sv_tail(spec, "ginibre", z=0.1, eta=0.05, trials=3).probability <= 1.0
+    assert np.isfinite(local_law_dispersion(spec, "ginibre", eta=0.1, trials=3, z=0.1))
+
+
+def test_sv_tail_cli_output_is_the_direct_svd_count(tmp_path):
+    spec = quartet_deformation(0.5, n=40)
+    spec.save(tmp_path / "q.json")
+    out = tmp_path / "tail.csv"
+    argv = ["simulate", str(tmp_path / "q.json"), "--statistic", "sv-tail",
+            "--trials", "6", "--seed", "11", "--eta", "0.02", "--center", "0.1",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    smallest = [
+        hermitize(spec, sample_matrix("ginibre", 40, 11 + j), 0.1).singular_values()[0]
+        for j in range(6)
+    ]
+    p = int(np.sum(np.array(smallest) < 0.02)) / 6
+    assert 0.0 < p < 1.0
+    err = float(np.sqrt(max(p * (1.0 - p), 1.0 / 6) / 6))
+    expected = f"probability,std_error,eta,trials\n{p!r},{err!r},{0.02!r},6\n"
+    assert out.read_bytes() == expected.encode()
+
+
 # --------------------------------------------------- Girko and eta integral
 
 
@@ -196,6 +229,57 @@ def test_girko_far_field_vanishes():
     f = GaussianField(center=30.0 + 0j, sigma=0.5)
     rep = girko_check(spec, x, f, quad_points=64)
     assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "n, center", [(24, 0.2 + 0.1j), (48, 0.2 + 0.1j), (48, -0.4 + 0.3j), (24, 30.0 + 0j)]
+)
+def test_girko_rhs_matches_svd_oracle(n, center, girko_svd_oracle):
+    spec = quartet_deformation(0.5, n=n) if n == 24 else random_deformation_critical(1, n=n)
+    x = sample_matrix("ginibre", n, seed=4)
+    f = GaussianField(center=center, sigma=0.5)
+    rep = girko_check(spec, x, f, quad_points=32)
+    rhs, jittered = girko_svd_oracle(spec, x, f, 32)
+    assert abs(rep.rhs - rhs) <= 1e-10
+    assert rep.jittered_nodes == jittered == 0
+
+
+def test_girko_jitters_a_node_on_an_atom(girko_svd_oracle):
+    # X = 0 leaves A + X diagonal: its Hessenberg form has a zero
+    # subdiagonal, and the centre node of an odd rule sits on the atom
+    spec = quartet_deformation(0.5, n=24)
+    x = np.zeros((24, 24), dtype=complex)
+    f = GaussianField(center=complex(spec.eigenvalues[0]), sigma=0.5)
+    rep = girko_check(spec, x, f, quad_points=33)
+    rhs, jittered = girko_svd_oracle(spec, x, f, 33)
+    assert rep.jittered_nodes >= 1 and rep.jittered_nodes == jittered
+    assert np.isfinite(rep.rhs)
+    assert abs(rep.rhs - rhs) <= 1e-10
+
+
+def test_girko_pinned_node_raises():
+    spec = quartet_deformation(0.5, n=24)
+    f = GaussianField(center=complex(spec.eigenvalues[0]), sigma=0.5)
+    with pytest.raises(QuadratureUnstable):
+        girko_check(spec, np.zeros((24, 24)), f, quad_points=33, jitter=0.0)
+
+
+def test_girko_cli_leaves_scipy_unimported(tmp_path):
+    spectrum = tmp_path / "q.json"
+    quartet_deformation(0.5, n=24).save(spectrum)
+    code = (
+        "import sys\n"
+        "from critedge.cli import main\n"
+        f"rc = main(['simulate', {str(spectrum)!r}, '--statistic', 'girko', '--quad', '16',"
+        f" '--out', {str(tmp_path / 'g.csv')!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_eta_log_identity_matches_closed_form():
