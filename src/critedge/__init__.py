@@ -31,7 +31,6 @@ from .flow import (
 )
 from .spectra import (
     CorrelationEstimate,
-    EnsembleSample,
     estimate_statistic,
     girko_check,
     log_det_statistic,
@@ -46,7 +45,6 @@ __all__ = [
     "CorrelationEstimate",
     "CriticalityReport",
     "DeformationSpectrum",
-    "EnsembleSample",
     "FlowConfig",
     "FlowPath",
     "FlowScalings",

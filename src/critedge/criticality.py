@@ -43,12 +43,8 @@ def _mixed_traces(a) -> tuple[complex, float, float]:
     a square complex matrix (dense escape hatch for non-normal examples).
     """
     if isinstance(a, DeformationSpectrum):
-        a.require_invertible()
-        ev = a.eigenvalues
-        w = a.weights
-        r = complex(np.sum(w * ev ** (-3) * np.conj(ev) ** (-1)))
-        t = float(np.sum(w * np.abs(ev) ** (-4)).real)
-        return r, t, t
+        t = a.moment(-2, -2)
+        return a.moment(-3, -1), t, t
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("dense input must be a square matrix")
@@ -142,11 +138,7 @@ def chi(spec: DeformationSpectrum) -> tuple[float, float]:
     inverse-and-rotate transform the imaginary part vanishes; it is exposed
     as a diagnostic rather than silently dropped.
     """
-    ev = spec.eigenvalues
-    w = spec.weights
-    num = complex(np.sum(w * ev**3 * np.conj(ev)))
-    den = float(np.sum(w * np.abs(ev) ** 4))
-    val = num / den
+    val = spec.moment(3, 1) / spec.moment(2, 2)
     return float(val.real), float(val.imag)
 
 
@@ -215,8 +207,8 @@ def verify_criticality(
     """
     spec.require_invertible()
     norm_a, norm_a_inv = spec.operator_norms()
-    inv2 = spec.inv_modulus_power_trace(2)
-    skew = spec.mixed_inverse_trace(2, 1)
+    inv2 = spec.moment(-1, -1)
+    skew = spec.moment(-2, -1)
 
     h = hessian_at_origin(spec)
     lam1, lam2, theta = _eigs_of_hessian(h)
@@ -227,9 +219,7 @@ def verify_criticality(
     beta = float(np.sqrt(spec.n) * (1.0 - inv2))
 
     # chi of the inverse-side spectrum obtained by the inverse-and-rotate map
-    r = spec.mixed_inverse_trace(3, 1)
-    i4 = spec.inv_modulus_power_trace(4)
-    chi_b = abs(r) / i4
+    chi_b = abs(spec.moment(-3, -1)) / spec.moment(-2, -2)
 
     critical = (
         norm_a <= frak_c
@@ -268,7 +258,7 @@ def density_quadratic(report: CriticalityReport, spec: DeformationSpectrum, z: c
     alpha = report.alpha
     gamma = report.gamma
     x, y = z.real, z.imag
-    inside = spec.inv_modulus_power_trace(2, z / gamma) >= 1.0
+    inside = spec.moment(-1, -1, z / gamma) >= 1.0
     if not inside:
         return 0.0
     one = (x * x + alpha * y * y) / (1.0 + alpha)

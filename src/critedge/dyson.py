@@ -80,16 +80,11 @@ class FullMdeSolution:
 
 @dataclass(frozen=True)
 class FlowScalings:
-    """Rescaling constants attached to one flow time.
-
-    i4 and i4_tilde agree for normal deformations; both are kept to mirror
-    the two distinct inverse fourth-moment traces they evaluate.
-    """
+    """Rescaling constants attached to one flow time."""
 
     n: int
     delta: float
     i4: float
-    i4_tilde: float
     c_t: float
     gamma_t: complex
     theta: float
@@ -316,7 +311,7 @@ def cubic_residual(
     """
     if v is None:
         v = solve_v_scalar(spec, z, eta).v
-    i4 = spec.inv_modulus_power_trace(4)
+    i4 = spec.moment(-2, -2)
     h = report.hessian if report is not None else hessian_at_origin(spec)
     xy = np.array([complex(z).real, complex(z).imag])
     quad = 0.5 * float(xy @ np.asarray(h, dtype=float) @ xy)
@@ -327,23 +322,21 @@ def flow_scalings(spec: DeformationSpectrum, n: int | None = None, delta: float 
     """Evaluate the flow rescaling constants for one deformation.
 
     ``eta_infinity = n^(-3/4-delta)`` and ``eta_t = eta_infinity / c_t`` with
-    ``c_t = I4^(-1/4)``.  The phase of gamma_t aligns the large Hessian
-    eigendirection, matching the scaling factor used for eigenvalue clouds.
+    ``c_t = I4^(-1/4)`` and I4 = tr |A|^-4; ``gamma_t = I4^(1/4) e^(i theta)``,
+    its phase aligning the large Hessian eigendirection, matching the
+    scaling factor used for eigenvalue clouds.
     """
     if n is None:
         n = spec.n
-    spec.require_invertible()
-    i4 = spec.inv_modulus_power_trace(4)
-    i4_tilde = float(np.real(spec.mixed_inverse_trace(2, 2)))
+    i4 = spec.moment(-2, -2)
     _, _, theta = _eigs_of_hessian(hessian_at_origin(spec))
     c_t = i4 ** (-0.25)
-    gamma_t = complex(i4 ** (-0.25) * np.sqrt(i4_tilde) * np.exp(1j * theta))
+    gamma_t = complex(i4**0.25 * np.exp(1j * theta))
     eta_inf = float(n) ** (-0.75 - delta)
     return FlowScalings(
         n=int(n),
         delta=float(delta),
         i4=float(i4),
-        i4_tilde=i4_tilde,
         c_t=float(c_t),
         gamma_t=gamma_t,
         theta=float(theta),

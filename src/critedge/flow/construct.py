@@ -40,7 +40,7 @@ from ..errors import (
     ResidualExceeded,
     SizePreconditionFailed,
 )
-from ..spectrum import DeformationSpectrum
+from ..spectrum import DeformationSpectrum, weighted_moment
 from .continuation import (
     anchor_jacobian,
     anchor_residual,
@@ -778,31 +778,28 @@ def hermitian_flow(
         raise ConditionViolated(["criticality requires entries of both signs"])
     gate_inverse_side(frak_c, b, chi_max=1.0)
 
-    xp = x[pos]
-    cp = cnt[pos]
-    xn = x[negm]
-    cn = cnt[negm]
+    # tr (|B| + s)^3 over one sign class is a cubic in s whose
+    # coefficients are the moments m[j] = tr |B|^j of that class
+    m_pos = [weighted_moment(x[pos], cnt[pos] / n, j, 0).real for j in range(4)]
+    m_neg = [weighted_moment(-x[negm], cnt[negm] / n, j, 0).real for j in range(4)]
 
-    def f_plus(s):
-        return float(np.sum(cp * (xp + s) ** 3) / n)
-
-    def f_minus(s):
-        return float(np.sum(cn * (-xn + s) ** 3) / n)
+    def cube_trace(m, s):
+        return m[3] + s * (3.0 * m[2] + s * (3.0 * m[1] + s * m[0]))
 
     kappa = (n_pos / n_neg) ** (1.0 / 3.0)
 
     def g_of(s):
         if s == 0.0:
             return 0.0
-        target = f_plus(s)
+        target = cube_trace(m_pos, s)
         lo, hi = 0.0, kappa * s + frak_c + 1.0
-        while f_minus(hi) < target:
+        while cube_trace(m_neg, hi) < target:
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if hi - lo <= 1e-13:
                 break
-            if f_minus(mid) < target:
+            if cube_trace(m_neg, mid) < target:
                 lo = mid
             else:
                 hi = mid

@@ -75,8 +75,7 @@ def gate_inverse_side(frak_c: float, *specs, chi_max: float | None = None) -> No
             failures.append(
                 f"{tag}operator norms ({norm:.3g}, {inv_norm:.3g}) exceed {frak_c:.3g}"
             )
-        ev = b.eigenvalues
-        skew = abs(complex(np.sum(b.weights * ev**2 * np.conj(ev))))
+        skew = abs(b.moment(2, 1))
         if skew > TOL_PRE:
             failures.append(f"{tag}|tr B^2 B*| = {skew:.3e} exceeds {TOL_PRE:.1e}")
         chi_re, chi_im = chi_of(b)
@@ -260,9 +259,8 @@ def assemble_path(
     states, residual_crit, residual_chi = [], [], []
     for vals, chi_t in zip(rows, chi_target):
         state = DeformationSpectrum(vals, counts, n).canonical(0.0)
-        ev = state.eigenvalues
         states.append(state)
-        residual_crit.append(float(abs(np.sum(state.weights * ev**2 * np.conj(ev)))))
+        residual_crit.append(abs(state.moment(2, 1)))
         c_re, c_im = chi_of(state)
         residual_chi.append(float(abs(complex(c_re, c_im) - chi_t)))
 

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConditionViolated, SingularJacobian
+from ..spectrum import weighted_moment
 
 __all__ = [
     "PointMapValue",
@@ -185,11 +186,8 @@ def det_quartet(z1, z2, chi):
 def cluster_traces(values, counts, chi: float, mass: float) -> tuple[complex, complex]:
     """Trace contributions of weighted sites, normalised by ``mass``:
     (sum c v^2 conj(v), sum c v^3 conj(v) - chi sum c |v|^4) / mass."""
-    v = np.asarray(values, dtype=complex)
-    f1 = complex(np.sum(counts * v * v * np.conj(v)))
-    f2 = complex(np.sum(counts * v**3 * np.conj(v))) - chi * float(
-        np.sum(counts * np.abs(v) ** 4)
-    )
+    f1 = weighted_moment(values, counts, 2, 1)
+    f2 = weighted_moment(values, counts, 3, 1) - chi * weighted_moment(values, counts, 2, 2)
     return f1 / mass, f2 / mass
 
 

@@ -180,8 +180,7 @@ def derive_b0(a: DeformationSpectrum) -> tuple[DeformationSpectrum, float]:
     tr B^3 B* lands on the nonnegative real axis; phi = 0 when the trace
     vanishes.
     """
-    a.require_invertible()
-    skew3 = a.mixed_inverse_trace(3, 1)
+    skew3 = a.moment(-3, -1)
     if abs(skew3) <= 1e-12:
         phi = 0.0
     else:
@@ -205,7 +204,7 @@ def lift_to_deformation(path_b: FlowPath, phi: float) -> FlowPath:
         vals = s.eigenvalues
         if np.any(vals == 0):
             raise ZeroEigenvalue("inverse-side state has a zero eigenvalue")
-        scale = float(np.sqrt(np.sum(s.weights * np.abs(vals) ** 2)))
+        scale = np.sqrt(s.moment(1, 1))
         states.append(s.with_eigenvalues(np.exp(-1j * phi) * scale / vals))
     return FlowPath(
         grid=path_b.grid,
@@ -267,8 +266,8 @@ def validate_assumption(
     alphas = []
     for idx, s in enumerate(path_a.states):
         norm_a, norm_inv = s.operator_norms()
-        inv2 = s.inv_modulus_power_trace(2)
-        skew = s.mixed_inverse_trace(2, 1)
+        inv2 = s.moment(-1, -1)
+        skew = s.moment(-2, -1)
         if norm_a > frak_c1 or norm_inv > frak_c1:
             failures.append(f"t={path_a.grid[idx]:.4f}: norms ({norm_a:.3g}, {norm_inv:.3g})")
         if abs(inv2 - 1.0) > crit_tol or abs(skew) > crit_tol:

@@ -8,7 +8,6 @@ deterministic counterpart from the Dyson module.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ from .spectrum import DeformationSpectrum
 
 __all__ = [
     "MODELS",
-    "EnsembleSample",
     "CorrelationEstimate",
     "HermitizedOperator",
     "GirkoReport",
@@ -38,7 +36,6 @@ __all__ = [
     "deformed_eigenvalues",
     "rescale",
     "rescale_inverse",
-    "sample_ensemble",
     "hermitize",
     "estimate_statistic",
     "radial_bump",
@@ -49,8 +46,6 @@ __all__ = [
     "log_det_statistic",
     "smallest_sv_tail",
     "local_law_dispersion",
-    "save_cloud_csv",
-    "save_trials_csv",
 ]
 
 MODELS = ("ginibre", "iid-bernoulli-like", "iid-custom")
@@ -64,22 +59,6 @@ PANEL_NODES = 10
 
 # ---------------------------------------------------------------------------
 # types
-
-
-@dataclass(frozen=True)
-class EnsembleSample:
-    """One draw of a deformed random matrix and its spectral data.
-
-    ``eigenvalues`` belong to A + X; ``singular_values`` (ascending) belong
-    to A + X - z for the stored base point.
-    """
-
-    seed: int
-    n: int
-    model: str
-    eigenvalues: np.ndarray
-    singular_values: np.ndarray | None = None
-    base_point: complex = 0.0
 
 
 @dataclass(frozen=True)
@@ -199,24 +178,6 @@ def rescale(points, n: int, gamma: complex) -> np.ndarray:
 
 def rescale_inverse(points, n: int, gamma: complex) -> np.ndarray:
     return np.asarray(points, dtype=complex) / (float(n) ** 0.25 * gamma)
-
-
-def sample_ensemble(
-    spec: DeformationSpectrum,
-    model: str,
-    seed: int,
-    z: complex = 0.0,
-) -> EnsembleSample:
-    """One trial: eigenvalues of A + X, singular values of A + X - z."""
-    x = sample_matrix(model, spec.n, seed)
-    return EnsembleSample(
-        seed=int(seed),
-        n=spec.n,
-        model=model,
-        eigenvalues=deformed_eigenvalues(spec, x),
-        singular_values=hermitize(spec, x, z).singular_values(),
-        base_point=complex(z),
-    )
 
 
 def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex = 0.0) -> HermitizedOperator:
@@ -591,28 +552,3 @@ def local_law_dispersion(
         im_g = float(np.mean(2.0 * eta / (svs * svs + eta * eta))) / 2.0
         gaps[j] = im_g - im_m
     return float(np.std(gaps, ddof=1))
-
-
-# ---------------------------------------------------------------------------
-# plain-file outputs
-
-
-def save_cloud_csv(path, points) -> None:
-    """Eigenvalue cloud as re,im rows for external plotting."""
-    points = np.asarray(points, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im"])
-        for p in points:
-            writer.writerow([repr(float(p.real)), repr(float(p.imag))])
-
-
-def save_trials_csv(path, estimate: CorrelationEstimate) -> None:
-    """One row per trial plus the pooled summary row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "value"])
-        for j, v in enumerate(estimate.per_trial):
-            writer.writerow([j, repr(float(v))])
-        writer.writerow(["mean", repr(estimate.value)])
-        writer.writerow(["std_error", repr(estimate.std_error)])

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NoConvergence
 from .flow.continuation import anchor_jacobian, anchor_residual, newton
 from .flow.maps import cluster_traces, realify, unrealify
-from .spectrum import DeformationSpectrum
+from .spectrum import DeformationSpectrum, weighted_moment
 
 __all__ = [
     "random_inverse_critical",
@@ -122,10 +122,9 @@ def random_inverse_critical(
             continue
         values = np.concatenate([units, [new_l, new_r]])
         counts = np.concatenate([np.ones(units.size, dtype=np.int64), [mass_l, mass_r]])
-        moduli = np.abs(values)
-        scale = float(np.sqrt(np.sum(counts * moduli**2) / n))
+        scale = float(np.sqrt(weighted_moment(values, counts, 1, 1) / n))
         values = values / scale
-        moduli = moduli / scale
+        moduli = np.abs(values)
         if moduli.min() < 1.25 / frak_c or moduli.max() > 0.8 * frak_c:
             continue
         return DeformationSpectrum(values, counts, n)
@@ -168,7 +167,7 @@ def random_real_critical(
                                            rng.dirichlet(np.ones(k_pos + k_neg))) + 1)
     counts[-1] += n - int(counts.sum())
     cp, cn = counts[:k_pos].astype(float), counts[k_pos:].astype(float)
-    lam = (float(np.sum(cp * xp**3)) / float(np.sum(cn * np.abs(xn) ** 3))) ** (1 / 3)
+    lam = (-weighted_moment(xp, cp, 3, 0).real / weighted_moment(xn, cn, 3, 0).real) ** (1 / 3)
     xn = lam * xn
     values = np.concatenate([xp, xn]).astype(complex)
     return DeformationSpectrum(values, counts, n)
@@ -183,7 +182,7 @@ def quartet_deformation(c: float, n: int = 4) -> DeformationSpectrum:
     if n % 4:
         raise ValueError(f"dimension must be a multiple of 4, got {n}")
     d = np.array([1 + 1j * c, 1 - 1j * c, -1 + 1j * c, -1 - 1j * c])
-    scale = float(np.sqrt(np.mean(1.0 / np.abs(d) ** 2)))
+    scale = float(np.sqrt(weighted_moment(d, 0.25, -1, -1)))
     counts = np.full(4, n // 4, dtype=np.int64)
     return DeformationSpectrum(scale * d, counts, n)
 

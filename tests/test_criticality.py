@@ -160,3 +160,58 @@ def test_alpha_consistent_with_chi_route(seed):
     a = b.with_eigenvalues(1.0 / b.eigenvalues)
     rep = verify_criticality(a, tol=1e-9)
     assert rep.alpha == pytest.approx(alpha_from_chi(chi_val), abs=1e-8)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.05, max_value=0.95),
+)
+@settings(max_examples=15)
+def test_splitting_a_multiplicity_changes_nothing(seed, frac):
+    a = random_deformation_critical(seed, n=40)
+    j = int(np.argmax(a.multiplicities))
+    m = int(a.multiplicities[j])
+    part = min(max(1, round(frac * m)), m - 1)
+    mult = a.multiplicities.copy()
+    mult[j] = part
+    split = DeformationSpectrum(
+        np.append(a.eigenvalues, a.eigenvalues[j]), np.append(mult, m - part), a.n
+    )
+    c, cs = a.canonical(0.0), split.canonical(0.0)
+    assert np.array_equal(c.eigenvalues.view(float), cs.eigenvalues.view(float))
+    assert np.array_equal(c.multiplicities, cs.multiplicities)
+    for k in range(-3, 4):
+        for l in range(-3, 4):
+            want = a.moment(k, l)
+            assert abs(split.moment(k, l) - want) <= 1e-14 * max(1.0, abs(want))
+    assert chi(split) == pytest.approx(chi(a), rel=0, abs=1e-14)
+    rep, rep_split = verify_criticality(a), verify_criticality(split)
+    got, want = rep_split.to_json_dict(), rep.to_json_dict()
+    # the large Hessian eigendirection is an axis: theta is defined mod pi
+    # and gamma up to sign, and where h12 is zero in exact arithmetic the
+    # sign of its rounding picks theta near 0 or near pi
+    turn = (rep_split.theta - rep.theta) % np.pi
+    assert min(turn, np.pi - turn) <= 1e-14
+    assert abs(rep_split.gamma**2 - rep.gamma**2) <= 1e-13
+    for key, value in want.items():
+        if key in ("theta", "gamma_re", "gamma_im"):
+            continue
+        if isinstance(value, float):
+            assert abs(got[key] - value) <= 1e-14, key
+        else:
+            assert got[key] == value, key
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+)
+@settings(max_examples=15)
+def test_alpha_and_gamma_modulus_are_rotation_invariant(seed, phase):
+    a = random_deformation_critical(seed, n=40)
+    rep, rot = verify_criticality(a), verify_criticality(a.rotated(phase))
+    assert rot.alpha == pytest.approx(rep.alpha, rel=0, abs=1e-12)
+    assert abs(rot.gamma) == pytest.approx(abs(rep.gamma), rel=1e-12)
+    # the large Hessian eigendirection turns with the spectrum
+    turn = (rot.theta - rep.theta - phase) % np.pi
+    assert min(turn, np.pi - turn) <= 1e-9

@@ -1,6 +1,5 @@
 """Monte Carlo layer: ensembles, statistics, Girko checks, tails."""
 
-import csv
 import os
 import subprocess
 import sys
@@ -25,10 +24,7 @@ from critedge.spectra import (
     radial_bump,
     rescale,
     rescale_inverse,
-    sample_ensemble,
     sample_matrix,
-    save_cloud_csv,
-    save_trials_csv,
     smallest_sv_tail,
 )
 from critedge.synthesis import quartet_deformation, random_deformation_critical
@@ -85,15 +81,6 @@ def test_hermitization_spectrum_is_symmetric_pm_singular_values():
     merged = np.sort(np.concatenate([svs, -svs]))
     assert np.max(np.abs(ev - merged)) < 1e-10
     assert op.log_abs_det() == pytest.approx(2.0 * np.sum(np.log(svs)))
-
-
-def test_sample_ensemble_carries_sorted_singular_values():
-    spec = quartet_deformation(0.5, n=40)
-    s = sample_ensemble(spec, "ginibre", seed=2, z=0.1)
-    assert s.eigenvalues.size == 40
-    assert np.all(np.diff(s.singular_values) >= 0)
-    again = sample_ensemble(spec, "ginibre", seed=2, z=0.1)
-    assert np.array_equal(s.eigenvalues, again.eigenvalues)
 
 
 # ---------------------------------------------------------------- bumps
@@ -319,24 +306,3 @@ def test_log_det_statistic_matches_panel_rule_with_oracle_v(w, bisect_v):
     im_tr_g = np.sum(2.0 * etas[:, None] / (sv2 + etas[:, None] ** 2), axis=1)
     expected = float(np.sum((rad[:, None] * wts).ravel() * (im_tr_g - 2.0 * 48 * im_m)))
     assert abs(log_det_statistic(spec, x, w, sc) - expected) <= 1e-10
-
-
-# ------------------------------------------------------------------ files
-
-
-def test_csv_outputs(tmp_path):
-    pts = np.array([0.1 + 0.2j, -0.3 + 0.4j])
-    cloud = tmp_path / "cloud.csv"
-    save_cloud_csv(cloud, pts)
-    rows = list(csv.reader(cloud.open()))
-    assert rows[0] == ["re", "im"]
-    assert len(rows) == 3 and float(rows[1][0]) == 0.1
-
-    spec = quartet_deformation(0.3, n=16)
-    est = estimate_statistic(spec, "ginibre", 1, "radial-bump", trials=4)
-    trials = tmp_path / "trials.csv"
-    save_trials_csv(trials, est)
-    rows = list(csv.reader(trials.open()))
-    assert rows[0][0] == "trial"
-    assert len(rows) == 7  # header + 4 trials + mean + std_error
-    assert rows[-2][0] == "mean" and rows[-1][0] == "std_error"

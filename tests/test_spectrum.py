@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from critedge.errors import DimensionMismatch, ZeroEigenvalue
 from critedge.spectrum import DeformationSpectrum
 
+POWERS = st.integers(min_value=-3, max_value=3)
+
 
 def test_count_sum_must_match_dimension():
     with pytest.raises(DimensionMismatch):
@@ -91,6 +93,82 @@ def test_canonical_idempotent(k, seed):
     assert np.array_equal(c1.multiplicities, c2.multiplicities)
 
 
+def canonical_loop(s: DeformationSpectrum, merge_tol: float) -> DeformationSpectrum:
+    """Entry-by-entry reference for DeformationSpectrum.canonical."""
+    order = np.lexsort((s.eigenvalues.imag, s.eigenvalues.real))
+    runs = []
+    for z, m in zip(s.eigenvalues[order], s.multiplicities[order]):
+        if runs and abs(z - runs[-1][-1][0]) <= merge_tol:
+            runs[-1].append((z, m))
+        else:
+            runs.append([(z, m)])
+    vals, mult = [], []
+    for run in runs:
+        tot = sum(int(m) for _, m in run)
+        same = all(z == run[0][0] for z, _ in run)
+        vals.append(run[0][0] if same else sum(z * m for z, m in run) / tot)
+        mult.append(tot)
+    return DeformationSpectrum(np.array(vals), np.array(mult), s.n, s.basis_id)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0.0, 1e-9, 0.3]),
+)
+def test_canonical_matches_the_loop_reference(k, seed, merge_tol):
+    # values from a small pool, some nudged, so runs of exact and of
+    # near duplicates both occur
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=4) + 1j * rng.normal(size=4)
+    vals = pool[rng.integers(0, 4, size=k)]
+    vals[rng.random(k) < 0.3] += 1e-12 * (1 + 1j)
+    mult = rng.integers(1, 5, size=k)
+    s = DeformationSpectrum(vals, mult, int(mult.sum()))
+    got, want = s.canonical(merge_tol), canonical_loop(s, merge_tol)
+    assert np.array_equal(got.multiplicities, want.multiplicities)
+    if merge_tol == 0.0:
+        # runs of exact duplicates keep their value bit for bit
+        assert np.array_equal(got.eigenvalues.view(float), want.eigenvalues.view(float))
+    else:
+        # the weighted mean of a merged run sums in another order: at most
+        # 40 terms of modulus below 10, a few ulps each
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-13)
+
+
+@given(
+    POWERS,
+    POWERS,
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_moment_is_the_dense_trace(k, l, seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 6))
+    shift = complex(rng.normal(), rng.normal())
+    offsets = rng.uniform(0.3, 2.0, size) * np.exp(2j * np.pi * rng.random(size))
+    mult = rng.integers(1, 4, size=size)
+    s = DeformationSpectrum(shift + offsets, mult, int(mult.sum()))
+    d = s.dense() - shift * np.eye(s.n)
+    want = np.trace(
+        np.linalg.matrix_power(d, k) @ np.linalg.matrix_power(d.conj().T, l)
+    ) / s.n
+    got = s.moment(k, l, shift)
+    # |moment| <= max |v - shift|^(k + l), as the weights sum to one
+    assert abs(got - want) <= 1e-12 * max(1.0, float(np.max(np.abs(offsets) ** (k + l))))
+    assert isinstance(got, float) == (k == l)
+
+
+@given(POWERS, POWERS)
+def test_moment_raises_only_for_negative_powers_at_a_zero(k, l):
+    shift = 0.25 - 0.5j
+    s = DeformationSpectrum.from_values([shift, shift + 1.0, shift - 2.0j], [2, 1, 1])
+    if min(k, l) < 0:
+        with pytest.raises(ZeroEigenvalue):
+            s.moment(k, l, shift)
+    else:
+        assert np.isfinite(s.moment(k, l, shift))
+
+
 def test_scaled_and_rotated_act_on_values(pm_spectrum):
     s = pm_spectrum.scaled(2.0)
     assert np.array_equal(s.eigenvalues, 2.0 * pm_spectrum.eigenvalues)
@@ -105,7 +183,7 @@ def test_operator_norms(pm_spectrum):
 
 
 def test_inverse_trace_functionals(pm_spectrum):
-    assert pm_spectrum.inv_modulus_power_trace(2) == pytest.approx(1.0)
-    assert pm_spectrum.mixed_inverse_trace(2, 1) == pytest.approx(0.0)
+    assert pm_spectrum.moment(-1, -1) == pytest.approx(1.0)
+    assert pm_spectrum.moment(-2, -1) == pytest.approx(0.0)
     # tr A^-3 A*^-1 = 1 for the +-1 spectrum
-    assert pm_spectrum.mixed_inverse_trace(3, 1) == pytest.approx(1.0)
+    assert pm_spectrum.moment(-3, -1) == pytest.approx(1.0)
