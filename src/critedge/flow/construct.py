@@ -641,9 +641,15 @@ def fix_spectrum_flow(
     def chi_at(t):
         return (1.0 - t) * chi0 + t * chi1
 
+    # q depends on t alone and Newton evaluates the residual at one t many
+    # times in a row, so the last t's q is kept
+    q_at: dict = {}
+
     def residual(t, w):
-        q = cluster_traces(side_values(t), side_counts, chi_at(t), mass12)
-        return anchor_residual(w, z0[i1], z0[i2], chi_at(t), p, q)
+        if t not in q_at:
+            q_at.clear()
+            q_at[t] = cluster_traces(side_values(t), side_counts, chi_at(t), mass12)
+        return anchor_residual(w, z0[i1], z0[i2], chi_at(t), p, q_at[t])
 
     def jacobian(t, w):
         return anchor_jacobian(w, z0[i1], z0[i2], chi_at(t), p)

@@ -42,7 +42,6 @@ __all__ = [
     "anisotropic_bump",
     "GaussianField",
     "girko_check",
-    "eta_log_identity",
     "log_det_statistic",
     "smallest_sv_tail",
     "local_law_dispersion",
@@ -55,6 +54,12 @@ MODELS = ("ginibre", "iid-bernoulli-like", "iid-custom")
 ETA_UPPER = 1e4
 PANELS = 48
 PANEL_NODES = 10
+# rows of the Gram matrix of log_det_statistic built per matrix product
+_GRAM_BLOCK = 64
+# the slogdet sign of a positive definite Gram matrix differs from +1 by
+# the rounding of its pivots' phases (below 2e-13 at N = 400); a larger gap
+# means the factorisation did not see a positive definite matrix
+_SIGN_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +146,7 @@ def sample_matrix(model: str, n: int, seed: int) -> np.ndarray:
     if model not in MODELS:
         raise UnknownModel(f"unknown ensemble model {model!r}; choose from {MODELS}")
     if n < 2:
-        raise ConditionViolated(f"matrix dimension must be at least 2, got {n}")
+        raise ConditionViolated([f"matrix dimension must be at least 2, got {n}"])
     rng = np.random.default_rng((int(seed), MODELS.index(model)))
     scale = 1.0 / np.sqrt(2.0 * n)
     if model == "ginibre":
@@ -155,17 +160,26 @@ def sample_matrix(model: str, n: int, seed: int) -> np.ndarray:
         a = np.sqrt(3.0)
         re = rng.uniform(-a, a, size=(n, n))
         im = rng.uniform(-a, a, size=(n, n))
-    return scale * (re + 1j * im)
+    out = np.empty((n, n), dtype=complex)
+    out.real = re
+    out.imag = im
+    out *= scale
+    return out
 
 
-def deformed_eigenvalues(spec: DeformationSpectrum, x: np.ndarray) -> np.ndarray:
-    """Eigenvalues of diag(spec) + X."""
+def _as_sample(spec: DeformationSpectrum, x) -> np.ndarray:
+    """X as a complex array, checked to be N x N for the deformation."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (spec.n, spec.n):
         raise DimensionMismatch(
             f"sample is {x.shape}, deformation dimension is {spec.n}"
         )
-    y = x.copy()
+    return x
+
+
+def deformed_eigenvalues(spec: DeformationSpectrum, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of diag(spec) + X."""
+    y = _as_sample(spec, x).copy()
     idx = np.arange(spec.n)
     y[idx, idx] += spec.expand()
     return np.linalg.eigvals(y)
@@ -181,12 +195,7 @@ def rescale_inverse(points, n: int, gamma: complex) -> np.ndarray:
 
 
 def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex = 0.0) -> HermitizedOperator:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (spec.n, spec.n):
-        raise DimensionMismatch(
-            f"sample is {x.shape}, deformation dimension is {spec.n}"
-        )
-    block = x.copy()
+    block = _as_sample(spec, x).copy()
     idx = np.arange(spec.n)
     block[idx, idx] += spec.expand() - complex(z)
     return HermitizedOperator(z=complex(z), block=block)
@@ -256,7 +265,7 @@ def estimate_statistic(
     else:
         fn_id = getattr(test_function, "__name__", "custom")
     if k < 1:
-        raise ConditionViolated(f"tuple order must be positive, got {k}")
+        raise ConditionViolated([f"tuple order must be positive, got {k}"])
     gamma = scaling_gamma(spec)
     seeds = [int(seed0) + j for j in range(int(trials))]
     args = [(spec, model, k, test_function, gamma, s) for s in seeds]
@@ -448,33 +457,49 @@ def girko_check(
     )
 
 
-def eta_log_identity(singular_values, split: float = 1.0):
-    """Per singular value: the regularized eta-integral against -2 log(sv).
-
-    Integrates 2 eta/(sv^2+eta^2) - 2 eta/(1+eta^2) numerically below
-    ``split`` and in closed form above it; summed over singular values this
-    reproduces -log|det H^z|.  Returns (numeric, analytic) arrays.
-    """
-    from scipy.integrate import quad
-
-    svs = np.asarray(singular_values, dtype=float)
-    numeric = np.empty_like(svs)
-    for i, lam in enumerate(svs):
-        def integrand(eta, lam=lam):
-            return 2.0 * eta / (lam * lam + eta * eta) - 2.0 * eta / (1.0 + eta * eta)
-
-        # the integrand turns over at eta ~ sv; hint the adaptive rule
-        hint = [min(lam, split)] if 0.0 < lam < split else None
-        low, _ = quad(integrand, 0.0, split, points=hint, epsabs=1e-12, limit=200)
-        # closed-form tail of the same integrand on [split, infinity)
-        tail = np.log((1.0 + split**2) / (lam * lam + split**2))
-        numeric[i] = low + tail
-    analytic = -2.0 * np.log(svs)
-    return numeric, analytic
-
-
 # ---------------------------------------------------------------------------
 # log-determinant statistic
+
+
+def _shifted_log_dets(x: np.ndarray, d: np.ndarray, shifts) -> list[float]:
+    """log det(Y*Y + s I) for each s of shifts, with Y = X + diag(d).
+
+    The Gram matrix G = Y*Y is built in row blocks straight from X and d,
+    G[lo:hi] = (X[:, lo:hi]* + diag(conj d)[lo:hi]) (X + diag(d)), so no copy
+    of Y is made; each block computes its columns from lo on, and the
+    blocks below the diagonal are mirrored from those above it.  Each
+    shift is written onto the saved diagonal of G, never added to the
+    previous one, and slogdet factors a copy of G.  Raises
+    ConditionViolated for a shift at or below the rounding floor of G,
+    N eps max G_ii, or a factorisation whose sign is not +1.
+    """
+    n = x.shape[0]
+    gram = np.empty((n, n), dtype=complex)
+    for lo in range(0, n, _GRAM_BLOCK):
+        hi = min(lo + _GRAM_BLOCK, n)
+        ybh = x[:, lo:hi].conj().T
+        rows = np.arange(hi - lo)
+        ybh[rows, lo + rows] += d[lo:hi].conj()
+        np.matmul(ybh, x[:, lo:], out=gram[lo:hi, lo:])
+        gram[lo:hi, lo:] += np.multiply(ybh[:, lo:], d[lo:], out=ybh[:, lo:])
+        np.conjugate(gram[lo:hi, hi:].T, out=gram[hi:, lo:hi])
+    diag = gram.diagonal().real.copy()
+    floor = n * np.finfo(float).eps * float(np.max(diag))
+    out = []
+    for s in shifts:
+        if s <= floor:
+            raise ConditionViolated([
+                f"shift {s:.3e} is at or below the rounding floor {floor:.3e} "
+                "of the Gram matrix"
+            ])
+        np.fill_diagonal(gram, diag + s)
+        sign, log_det = np.linalg.slogdet(gram)
+        if abs(sign - 1.0) > _SIGN_TOL:
+            raise ConditionViolated([
+                f"Gram matrix shifted by {s:.3e} factors with sign {sign:.6g}, not +1"
+            ])
+        out.append(float(log_det))
+    return out
 
 
 def log_det_statistic(
@@ -485,24 +510,38 @@ def log_det_statistic(
 ) -> float:
     """Centered log-determinant of the Hermitization at a rescaled point.
 
-    Tr log|H - i eta_t| minus its deterministic counterpart, evaluated as
-    the eta-integral of Im Tr G - 2N Im<M> from eta_t upward on log-spaced
-    Gauss-Legendre panels, with Im<M> from one solve_v call over all
-    nodes.  The 1/eta leading terms cancel exactly, so the truncation at
-    ETA_UPPER costs O(1/ETA_UPPER^2).
+    Tr log|H - i eta_t| minus its deterministic counterpart, as the
+    eta-integral of Im Tr G - 2N Im<M> from eta_t up to E = ETA_UPPER at
+    z = w / (gamma_t N^(1/4)).
+
+    The random half has a closed form: with Y = A + X - z and its singular
+    values s_j, the integral of sum_j 2 eta / (s_j^2 + eta^2) is
+    log det(Y*Y + E^2) - log det(Y*Y + eta_t^2), two log-determinants of one
+    Gram matrix, so no singular value is computed.  The deterministic half,
+    2N times the integral of Im<M>, runs on log-spaced Gauss-Legendre
+    panels with Im<M> from one solve_v call over all nodes.  Both halves
+    stop at E and their 1/eta leading terms cancel, so the truncation costs
+    O(1/E^2).
+
+    Raises DimensionMismatch for an X that is not N x N, ConditionViolated
+    for eta_t <= 0 or for eta_t^2 that the Gram matrix cannot resolve (see
+    _shifted_log_dets).
     """
+    x = _as_sample(spec_t, x)
     if scalings.eta_t <= 0.0:
-        raise ConditionViolated("regularization scale eta_t must be positive")
+        raise ConditionViolated(["regularization scale eta_t must be positive"])
     n = spec_t.n
     z_w = complex(w) / (scalings.gamma_t * float(n) ** 0.25)
-    sv2 = hermitize(spec_t, x, z_w).singular_values() ** 2
+    log_det_lo, log_det_hi = _shifted_log_dets(
+        x, spec_t.expand() - z_w, (scalings.eta_t**2, ETA_UPPER**2)
+    )
     edges = np.geomspace(scalings.eta_t, ETA_UPPER, PANELS + 1)
     nodes, weights = leggauss(PANEL_NODES)
     mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     etas = (mid[:, None] + rad[:, None] * nodes).ravel()
-    im_tr_g = np.sum(2.0 * etas[:, None] / (sv2 + etas[:, None] ** 2), axis=1)
     _, im_m, _ = solve_v(spec_t, z_w, etas)
-    return float(np.sum((rad[:, None] * weights).ravel() * (im_tr_g - 2.0 * n * im_m)))
+    deterministic = 2.0 * n * float(np.sum((rad[:, None] * weights).ravel() * im_m))
+    return log_det_hi - log_det_lo - deterministic
 
 
 # ---------------------------------------------------------------------------

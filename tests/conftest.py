@@ -47,6 +47,36 @@ def bisect_v():
 
 
 @pytest.fixture
+def eta_log_identity():
+    """Per singular value: the regularized eta-integral against -2 log(sv).
+
+    Integrates 2 eta/(sv^2+eta^2) - 2 eta/(1+eta^2) numerically below
+    ``split`` and in closed form above it; summed over singular values this
+    reproduces -log|det H^z|, the per-sv form of the closed eta-integral in
+    log_det_statistic.  Returns (numeric, analytic) arrays.
+    """
+    from scipy.integrate import quad
+
+    def identity(singular_values, split: float = 1.0):
+        svs = np.asarray(singular_values, dtype=float)
+        numeric = np.empty_like(svs)
+        for i, lam in enumerate(svs):
+            def integrand(eta, lam=lam):
+                return 2.0 * eta / (lam * lam + eta * eta) - 2.0 * eta / (1.0 + eta * eta)
+
+            # the integrand turns over at eta ~ sv; hint the adaptive rule
+            hint = [min(lam, split)] if 0.0 < lam < split else None
+            low, _ = quad(integrand, 0.0, split, points=hint, epsabs=1e-12, limit=200)
+            # closed-form tail of the same integrand on [split, infinity)
+            tail = np.log((1.0 + split**2) / (lam * lam + split**2))
+            numeric[i] = low + tail
+        analytic = -2.0 * np.log(svs)
+        return numeric, analytic
+
+    return identity
+
+
+@pytest.fixture
 def girko_svd_oracle():
     """Oracle for the rhs of the Girko identity: one full SVD per node.
 

@@ -1,8 +1,10 @@
 """Monte Carlo layer: ensembles, statistics, Girko checks, tails."""
 
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +12,17 @@ import pytest
 from critedge import cli, spectra
 from critedge.criticality import verify_criticality
 from critedge.dyson import flow_scalings
-from critedge.errors import ConditionViolated, QuadratureUnstable, UnknownModel
+from critedge.errors import (
+    ConditionViolated,
+    DimensionMismatch,
+    QuadratureUnstable,
+    UnknownModel,
+)
 from critedge.spectra import (
     GaussianField,
     anisotropic_bump,
     deformed_eigenvalues,
     estimate_statistic,
-    eta_log_identity,
     girko_check,
     hermitize,
     local_law_dispersion,
@@ -30,6 +36,8 @@ from critedge.spectra import (
 from critedge.synthesis import quartet_deformation, random_deformation_critical
 
 MODELS = ("ginibre", "iid-bernoulli-like", "iid-custom")
+# the rescaled points w of the log-det ops of the dyson-sweep benchmark
+LOGDET_POINTS = (0.0, 0.5 + 0.5j, -1.0j, 1.0, -0.7 + 0.3j, 0.3 - 0.8j)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -48,6 +56,23 @@ def test_models_are_deterministic_and_distinct():
     assert np.array_equal(a, b)
     c = sample_matrix("iid-custom", 64, seed=5)
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", [2, 40, 400, 401])
+def test_sample_matrix_matches_the_scaled_sum_bit_for_bit(model, n):
+    # the draws of sample_matrix, combined as scale * (re + 1j * im)
+    rng = np.random.default_rng((3, MODELS.index(model)))
+    if model == "ginibre":
+        re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    elif model == "iid-bernoulli-like":
+        re = 2.0 * rng.integers(0, 2, size=(n, n)).astype(float) - 1.0
+        im = 2.0 * rng.integers(0, 2, size=(n, n)).astype(float) - 1.0
+    else:
+        re = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, n))
+        im = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, n))
+    expected = 1.0 / np.sqrt(2.0 * n) * (re + 1j * im)
+    assert sample_matrix(model, n, seed=3).tobytes() == expected.tobytes()
 
 
 def test_unknown_model_and_small_n():
@@ -269,7 +294,7 @@ def test_girko_cli_leaves_scipy_unimported(tmp_path):
     assert run.stdout.strip() == "[]"
 
 
-def test_eta_log_identity_matches_closed_form():
+def test_eta_log_identity_matches_closed_form(eta_log_identity):
     svs = np.array([0.03, 0.4, 1.0, 2.7])
     numeric, analytic = eta_log_identity(svs)
     assert np.max(np.abs(numeric - analytic)) < 1e-10
@@ -287,15 +312,15 @@ def test_log_det_statistic_finite_and_deterministic():
     assert rep.is_critical
 
 
-@pytest.mark.parametrize("w", [0.0, 0.5 + 0.5j, -1.0j])
-def test_log_det_statistic_matches_panel_rule_with_oracle_v(w, bisect_v):
-    spec = quartet_deformation(0.4, n=48)
-    sc = flow_scalings(spec, 48)
-    x = sample_matrix("ginibre", 48, seed=6)
-    z = complex(w) / (sc.gamma_t * 48**0.25)
-    sv2 = np.linalg.svd(x + np.diag(spec.expand() - z), compute_uv=False) ** 2
-    # the rule of log_det_statistic: 48 log-spaced panels of 10
-    # Gauss-Legendre nodes from eta_t to 1e4
+def svd_panel_rule(spec, xs, w, sc, bisect_v) -> list[float]:
+    """The log-det statistic of each sample in xs from singular values and
+    bisected v.
+
+    Both halves on the panel rule of log_det_statistic: 48 log-spaced
+    panels of 10 Gauss-Legendre nodes from eta_t to 1e4.
+    """
+    n = spec.n
+    z = complex(w) / (sc.gamma_t * n**0.25)
     edges = np.geomspace(sc.eta_t, 1e4, 49)
     nodes, wts = np.polynomial.legendre.leggauss(10)
     rad = 0.5 * (edges[1:] - edges[:-1])
@@ -303,6 +328,79 @@ def test_log_det_statistic_matches_panel_rule_with_oracle_v(w, bisect_v):
     v = bisect_v(spec, z, etas)
     # Im<M> as v S(v): v - eta cancels where eta is large
     im_m = v * np.sum(spec.weights / (np.abs(spec.eigenvalues - z) ** 2 + v[:, None] ** 2), axis=1)
-    im_tr_g = np.sum(2.0 * etas[:, None] / (sv2 + etas[:, None] ** 2), axis=1)
-    expected = float(np.sum((rad[:, None] * wts).ravel() * (im_tr_g - 2.0 * 48 * im_m)))
+    out = []
+    for x in xs:
+        sv2 = np.linalg.svd(x + np.diag(spec.expand() - z), compute_uv=False) ** 2
+        im_tr_g = np.sum(2.0 * etas[:, None] / (sv2 + etas[:, None] ** 2), axis=1)
+        out.append(float(np.sum((rad[:, None] * wts).ravel() * (im_tr_g - 2.0 * n * im_m))))
+    return out
+
+
+@pytest.mark.parametrize("w", [0.0, 0.5 + 0.5j, -1.0j])
+def test_log_det_statistic_matches_panel_rule_with_oracle_v(w, bisect_v):
+    spec = quartet_deformation(0.4, n=48)
+    sc = flow_scalings(spec, 48)
+    x = sample_matrix("ginibre", 48, seed=6)
+    (expected,) = svd_panel_rule(spec, [x], w, sc, bisect_v)
     assert abs(log_det_statistic(spec, x, w, sc) - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("synth", [0, 1, 2, 3, "quartet"])
+def test_log_det_statistic_matches_svd_panel_rule_at_n400(synth, bisect_v):
+    # the random half is a closed form there and a quadrature of the
+    # singular values here; at N = 400 the two differ by below 1e-10
+    if synth == "quartet":
+        spec = quartet_deformation(0.5, n=400)
+    else:
+        spec = random_deformation_critical(synth, n=400)
+    sc = flow_scalings(spec)
+    xs = (sample_matrix("ginibre", 400, seed=9), np.zeros((400, 400)))
+    for w in LOGDET_POINTS:
+        for x, expected in zip(xs, svd_panel_rule(spec, xs, w, sc, bisect_v)):
+            assert abs(log_det_statistic(spec, x, w, sc) - expected) <= 1e-9, w
+
+
+def test_log_det_statistic_takes_no_singular_values(monkeypatch):
+    spec = quartet_deformation(0.4, n=48)
+    sc = flow_scalings(spec, 48)
+    x = sample_matrix("ginibre", 48, seed=6)
+    expected = log_det_statistic(spec, x, 0.5 + 0.5j, sc)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("log_det_statistic took singular values")
+
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    monkeypatch.setattr(spectra.HermitizedOperator, "singular_values", boom)
+    assert log_det_statistic(spec, x, 0.5 + 0.5j, sc) == expected
+
+
+def test_log_det_statistic_typed_errors(monkeypatch):
+    spec = quartet_deformation(0.4, n=48)
+    sc = flow_scalings(spec, 48)
+    x = sample_matrix("ginibre", 48, seed=6)
+    with pytest.raises(DimensionMismatch):
+        log_det_statistic(spec, x[:47, :47], 0.0, sc)
+    # eta_t^2 = 1e-18 is below the Gram's rounding floor N eps max G_ii
+    with pytest.raises(ConditionViolated, match="rounding floor"):
+        log_det_statistic(spec, x, 0.0, dataclasses.replace(sc, eta_t=1e-9))
+    with pytest.raises(ConditionViolated, match="regularization scale"):
+        log_det_statistic(spec, x, 0.0, dataclasses.replace(sc, eta_t=0.0))
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: (-1.0 + 0.0j, 0.0))
+    with pytest.raises(ConditionViolated, match="sign"):
+        log_det_statistic(spec, x, 0.0, sc)
+
+
+def test_log_det_statistic_memory_budget():
+    # two N x N complex matrices: the Gram matrix and one working copy
+    n = 400
+    spec = random_deformation_critical(1, n=n)
+    sc = flow_scalings(spec)
+    x = sample_matrix("ginibre", n, seed=3)
+    log_det_statistic(spec, x, 0.5 + 0.5j, sc)
+    tracemalloc.start()
+    try:
+        log_det_statistic(spec, x, 0.5 + 0.5j, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 16, peak
