@@ -193,7 +193,7 @@ def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
         path_b = hermitian_flow(b0, frak_c=cfg.frak_c, grid_points=cfg.grid)
     else:
         leg1 = finite_support_flow(b0, frak_c=cfg.frak_c, cfg=flow_cfg)
-        target = independent_count_target(leg1.final, cfg=flow_cfg)
+        target = independent_count_target(leg1.final)
         leg2 = fix_spectrum_flow(leg1.final, target, cfg=flow_cfg)
         path_b = leg1.concat(leg2)
     path_a = lift_to_deformation(path_b, phi)

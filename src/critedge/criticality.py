@@ -1,11 +1,12 @@
 """Criticality functionals of a deformation at the origin.
 
-A deformation A is critical at the origin when its norm and inverse norm are
-bounded, the normalised trace of |A|^-2 equals one, and the mixed trace of
-A^-2 (A*)^-1 vanishes.  The local geometry of the pseudospectral landscape is
-then captured by the 2x2 Hessian of (x, y) -> tr |A - x - iy|^-2 at zero,
-whose eigenvalue ratio (the shape parameter) and trace (through the scaling
-factor) control the eigenvalue density of A + X near the origin.
+A normal deformation A, given by its spectrum, is critical at the origin
+when its norm and inverse norm are bounded, the normalised trace of |A|^-2
+equals one, and the mixed trace of A^-2 (A*)^-1 vanishes.  The local
+geometry of the pseudospectral landscape is then captured by the 2x2
+Hessian of (x, y) -> tr |A - x - iy|^-2 at zero, whose eigenvalue ratio
+(the shape parameter) and trace (through the scaling factor) control the
+eigenvalue density of A + X near the origin.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHessian, ZeroEigenvalue
+from .errors import DegenerateHessian
 from .spectrum import DeformationSpectrum
 
 __all__ = [
@@ -35,47 +36,14 @@ DEFAULT_TOL = 1e-8
 TIE_TOL = 1e-9
 
 
-def _mixed_traces(a) -> tuple[complex, float, float]:
-    """Return (R, T, I4) with R = tr A^-3 (A*)^-1, T = tr A^-2 (A*)^-2,
-    I4 = tr |A|^-4, all normalised.
-
-    Accepts a DeformationSpectrum (normal case, computed eigenvalue-wise) or
-    a square complex matrix (dense escape hatch for non-normal examples).
-    """
-    if isinstance(a, DeformationSpectrum):
-        t = a.moment(-2, -2)
-        return a.moment(-3, -1), t, t
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("dense input must be a square matrix")
-    n = m.shape[0]
-    try:
-        mi = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise ZeroEigenvalue("dense deformation is singular") from exc
-    mi2 = mi @ mi
-    mih = mi.conj().T
-    r = complex(np.trace(mi2 @ mi @ mih) / n)
-    t = float(np.real(np.trace(mi2 @ mih @ mih) / n))
-    i4 = float(np.real(np.trace((mi @ mih) @ (mi @ mih).conj().T) / n))
-    return r, t, i4
-
-
-def hessian_at_origin(a) -> np.ndarray:
+def hessian_at_origin(spec: DeformationSpectrum) -> np.ndarray:
     """Hessian of (x, y) -> tr |A - x - iy|^-2 at the origin.
 
-    Parameters
-    ----------
-    a:
-        Normal deformation given as a :class:`DeformationSpectrum`, or a
-        dense square matrix for the non-normal examples.
-
-    Returns
-    -------
-    2x2 symmetric ndarray with entries
-    ``[[4 Re R + 2 T, -4 Im R], [-4 Im R, -4 Re R + 2 T]]``.
+    ``[[4 Re R + 2 T, -4 Im R], [-4 Im R, -4 Re R + 2 T]]`` with the
+    normalised traces R = tr A^-3 (A*)^-1 and T = tr |A|^-4.
     """
-    r, t, _ = _mixed_traces(a)
+    r = spec.moment(-3, -1)
+    t = spec.moment(-2, -2)
     h11 = 4.0 * r.real + 2.0 * t
     h22 = -4.0 * r.real + 2.0 * t
     h12 = -4.0 * r.imag
@@ -114,21 +82,19 @@ def shape_alpha(hessian: np.ndarray) -> float:
     return lam2 / lam1
 
 
-def scaling_gamma(a) -> complex:
+def scaling_gamma(spec: DeformationSpectrum) -> complex:
     """Scaling factor: sqrt(trace of Hessian) / tr(|A|^-4)^(1/4) * exp(i theta).
 
     The phase aligns the large Hessian eigendirection with the real axis;
     rotational ties use phase zero.
     """
-    r, t, i4 = _mixed_traces(a)
-    h = hessian_at_origin(a)
-    lam1, lam2, theta = _eigs_of_hessian(h)
+    lam1, lam2, theta = _eigs_of_hessian(hessian_at_origin(spec))
     if lam1 <= 0.0:
         raise DegenerateHessian(f"largest Hessian eigenvalue {lam1:.3e} <= 0")
     tr_h = lam1 + lam2
     if tr_h <= 0.0:
         raise DegenerateHessian(f"Hessian trace {tr_h:.3e} <= 0")
-    return complex(np.sqrt(tr_h) / i4**0.25 * np.exp(1j * theta))
+    return complex(np.sqrt(tr_h) / spec.moment(-2, -2) ** 0.25 * np.exp(1j * theta))
 
 
 def chi(spec: DeformationSpectrum) -> tuple[float, float]:

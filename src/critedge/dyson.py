@@ -1,13 +1,13 @@
 """Matrix Dyson equation solvers on the imaginary axis.
 
-For a deformation A and spectral parameter i*eta the self-consistent
+For a normal deformation A and spectral parameter i*eta the self-consistent
 equation for the Hermitized resolvent surrogate M reads
 
     1/M = S_H - i eta - tr(M),      Im M > 0,
 
 with S_H the Hermitization of A - z.  The self-energy is the scalar tr(M),
 so the full 2n x 2n problem (:func:`solve_mde_full`) closes over one complex
-number; for normal A it reduces to a positive scalar v = Im tr(M) + eta with
+number and reduces to a positive scalar v = Im tr(M) + eta with
 
     h(v) = 1 - eta/v - S(v) = 0,      S(v) = sum_i w_i / (|lambda_i - z|^2 + v^2).
 
@@ -49,6 +49,9 @@ BATCH_FIELDS = ("z_re", "z_im", "eta", "v", "residual", "iterations")
 EPS = float(np.finfo(float).eps)
 # steps per point of solve_v; from v+ it needs about 5-25
 MAX_ITER = 100
+# defect bound and damped-iteration cap of solve_mde_full
+FULL_TOL = 1e-10
+FULL_MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
@@ -168,50 +171,33 @@ def solve_v_scalar(spec: DeformationSpectrum, z: complex = 0.0, eta: float = 1e-
     )
 
 
-def _hermitization(a, z: complex) -> np.ndarray:
-    if isinstance(a, DeformationSpectrum):
-        y = a.dense() - z * np.eye(a.n)
-    else:
-        y = np.asarray(a, dtype=complex) - z * np.eye(np.asarray(a).shape[0])
-    n = y.shape[0]
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = y
-    h[n:, :n] = y.conj().T
-    return h
-
-
 def solve_mde_full(
-    a,
-    z: complex = 0.0,
-    eta: float = 1e-6,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
+    spec: DeformationSpectrum, z: complex = 0.0, eta: float = 1e-6
 ) -> FullMdeSolution:
     """Solve the full matrix Dyson equation for the Hermitization of A - z.
 
     The iteration runs on the complex scalar self-energy s = tr(M) through
-    the spectral decomposition of the Hermitization (computed once), without
-    assuming any symmetry of s.  A singular iterate (Im(i eta + s) <= 0)
-    restarts the loop with stronger damping.
-
-    Parameters
-    ----------
-    a : DeformationSpectrum or dense square matrix.
-    tol : tolerance on |tr((S_H - i eta - s)^-1) - s|, the trace-norm defect
-        of the fixed point.
+    the spectral decomposition of the 2n x 2n Hermitization (computed once),
+    without assuming any symmetry of s.  A singular iterate (Im(i eta + s)
+    <= 0) restarts the loop with stronger damping.  The fixed point is
+    accepted when its trace-norm defect |tr((S_H - i eta - s)^-1) - s| is
+    at most FULL_TOL.
     """
     if not (eta > 0.0) or not np.isfinite(eta):
         raise InvalidEta(f"eta must be positive and finite, got {eta}")
-    h = _hermitization(a, z)
+    n = spec.n
+    y = spec.dense() - z * np.eye(n)
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h[:n, n:] = y
+    h[n:, :n] = y.conj().T
     evals, vecs = np.linalg.eigh(h)
-    two_n = evals.size
 
     omega = 0.5
-    for attempt in range(6):
+    for _ in range(6):
         s = 1j * eta
         ok = True
         iterations = 0
-        for it in range(max_iter):
+        for it in range(FULL_MAX_ITER):
             shift = evals - 1j * eta - s
             if np.any(np.abs(shift) < 1e-300):
                 ok = False
@@ -222,7 +208,7 @@ def solve_mde_full(
                 break
             s_new = (1.0 - omega) * s + omega * s_map
             iterations = it + 1
-            if abs(s_new - s) <= 0.1 * tol and abs(s_map - s_new) <= tol:
+            if abs(s_new - s) <= 0.1 * FULL_TOL and abs(s_map - s_new) <= FULL_TOL:
                 s = s_new
                 break
             s = s_new
@@ -230,8 +216,6 @@ def solve_mde_full(
             break
         omega /= 2.0
     else:
-        raise SingularIterate("full Dyson iteration kept leaving the upper half plane")
-    if not ok:
         raise SingularIterate("full Dyson iteration kept leaving the upper half plane")
 
     # Newton polish: the damped map contracts like 1 - O(eta^(2/3)) near a
@@ -260,11 +244,10 @@ def solve_mde_full(
 
     diag = 1.0 / (evals - 1j * eta - s)
     residual = abs(complex(np.mean(diag)) - s)
-    converged = residual <= tol
+    converged = residual <= FULL_TOL
     if not converged:
-        raise NoConvergence(f"full Dyson solve defect {residual:.3e} exceeds tol {tol}")
+        raise NoConvergence(f"full Dyson solve defect {residual:.3e} exceeds tol {FULL_TOL}")
     m = (vecs * diag) @ vecs.conj().T
-    im_min = float(np.min((1.0 / (evals - 1j * eta - s)).imag))
     return FullMdeSolution(
         z=complex(z),
         eta=float(eta),
@@ -273,7 +256,7 @@ def solve_mde_full(
         residual=float(residual),
         iterations=iterations,
         converged=bool(converged),
-        im_min=im_min,
+        im_min=float(np.min(diag.imag)),
     )
 
 

@@ -12,7 +12,7 @@ from .construct import (
     shrink_clusters,
 )
 from .ift import IftCertificate, IftProblem, IftSolution, quantitative_ift
-from .maps import check_z1z2, det_quartet, f_chi_p
+from .maps import check_z1z2, f_chi_p
 from .partition import PartitionMatching, match_partitions, verify_matching
 from .paths import (
     AssumptionReport,
@@ -34,7 +34,6 @@ __all__ = [
     "ShrinkResult",
     "check_z1z2",
     "derive_b0",
-    "det_quartet",
     "f_chi_p",
     "finite_support_flow",
     "fix_spectrum_flow",

@@ -497,6 +497,48 @@ def _finite_support_attempt(b, units, chi_re, chi_full, hp, h, frak_c, grid):
 # ------------------------------------------------------------------ fix flow
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Least-cost assignment of the rows of a square cost matrix to columns.
+
+    Shortest augmenting paths with dual potentials (Jonker & Volgenant,
+    Computing 38, 1987): each row joins through a Dijkstra search on the
+    reduced costs, which the potentials keep non-negative, and the path
+    found is flipped.  Index 0 is a virtual column holding the joining
+    row.  Returns ``col`` with row i assigned to column ``col[i]``.
+    """
+    n = cost.shape[0]
+    a = np.zeros((n + 1, n + 1))
+    a[1:, 1:] = cost
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    row = np.zeros(n + 1, dtype=int)  # row on each column, 0 while free
+    way = np.zeros(n + 1, dtype=int)  # previous column on the shortest path
+    for i in range(1, n + 1):
+        row[0] = i
+        j0 = 0
+        dist = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while row[j0]:
+            used[j0] = True
+            i0 = row[j0]
+            reduced = a[i0] - u[i0] - v
+            closer = ~used & (reduced < dist)
+            dist[closer] = reduced[closer]
+            way[closer] = j0
+            j1 = int(np.argmin(np.where(used, np.inf, dist)))
+            delta = dist[j1]
+            u[row[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+            j0 = j1
+        while j0:
+            row[j0] = row[way[j0]]
+            j0 = way[j0]
+    col = np.empty(n, dtype=int)
+    col[row[1:] - 1] = np.arange(n)
+    return col
+
+
 def _align_supports(b0, b1, tol):
     """Common-index the two supports, padding either side with zero counts.
 
@@ -506,8 +548,6 @@ def _align_supports(b0, b1, tol):
     site keeps its value on both sides and its whole count travels as
     deficit mass.
     """
-    from scipy.optimize import linear_sum_assignment
-
     s0 = b0.canonical(0.0)
     s1 = b1.canonical(0.0)
     z0, m0 = s0.eigenvalues, s0.multiplicities
@@ -520,10 +560,8 @@ def _align_supports(b0, b1, tol):
     cost[np.arange(l0), l1 + np.arange(l0)] = tol * (1.0 + m0 / b0.n)
     cost[l0 + np.arange(l1), np.arange(l1)] = tol * (1.0 + m1 / b1.n)
     cost[l0:, l1:] = 0.0
-    rows, cols = linear_sum_assignment(cost)
-    match = {
-        int(i): int(j) for i, j in zip(rows, cols) if i < l0 and j < l1 and d[i, j] <= tol
-    }
+    cols = _assign(cost)[:l0]
+    match = {i: int(j) for i, j in enumerate(cols) if j < l1 and d[i, j] <= tol}
     partner = np.array([match.get(i, -1) for i in range(l0)], dtype=int)
     paired = partner >= 0
     lone = np.ones(l1, dtype=bool)
@@ -686,7 +724,6 @@ def independent_count_target(
     b: DeformationSpectrum,
     denominator: int = 40,
     chi_target: float | None = None,
-    cfg: FlowConfig | None = None,
 ) -> DeformationSpectrum:
     """Nearest critical spectrum whose count fractions are multiples of
     1/denominator.
@@ -694,8 +731,7 @@ def independent_count_target(
     Counts snap to the dimension-independent fraction grid; sites that snap
     to zero are dropped.  The two heaviest surviving blocks with separated
     real parts absorb the value correction that restores tr B^2 B* = 0 and
-    the requested chi exactly.  ``cfg`` is accepted like every builder's;
-    nothing in it applies here.
+    the requested chi exactly.
     """
     n = b.n
     spec = b.canonical(0.0)

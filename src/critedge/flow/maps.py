@@ -29,7 +29,6 @@ __all__ = [
     "f_chi_p",
     "pair_traces",
     "pair_jacobian",
-    "det_quartet",
     "cluster_traces",
     "weighted_pair_trace",
     "weighted_pair_jacobian",
@@ -143,44 +142,6 @@ def pair_jacobian(z1: complex, z2: complex, chi: float, p: float) -> np.ndarray:
     jac[2:4, 0:2] = p * _block(a2x, a2y)
     jac[2:4, 2:4] = q * _block(b2x, b2y)
     return jac
-
-
-def det_quartet(z1, z2, chi):
-    """Vectorised determinant of the p-stripped 4x4 Jacobian.
-
-    det DF_{chi,p} = p^2 (1-p)^2 * det_quartet(z1, z2, chi): columns 1-2 of
-    the Jacobian carry a factor p and columns 3-4 a factor 1-p, so the
-    weight only rescales.  Evaluated by block elimination; the top-left
-    block has determinant 3|z1|^4 and is invertible whenever z1 != 0.
-    Arrays broadcast elementwise.
-    """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    a1x, a1y, a2x, a2y = _h_derivatives(z1, chi)
-    b1x, b1y, b2x, b2y = _h_derivatives(z2, chi)
-
-    # 2x2 blocks as (m11, m12, m21, m22) scalar arrays.
-    def blk(fx, fy):
-        return fx.real, fy.real, fx.imag, fy.imag
-
-    A = blk(a1x, a1y)       # dH1(z1)
-    B = blk(b1x, b1y)       # dH1(z2)
-    C = blk(a2x, a2y)       # dH2(z1)
-    D = blk(b2x, b2y)       # dH2(z2)
-
-    det_a = A[0] * A[3] - A[1] * A[2]
-    # inv(A) = adj(A)/det_a; S = D - C inv(A) B computed without stacking.
-    ia = (A[3], -A[1], -A[2], A[0])
-    # T = inv(A) @ B (times det_a)
-    t11 = ia[0] * B[0] + ia[1] * B[2]
-    t12 = ia[0] * B[1] + ia[1] * B[3]
-    t21 = ia[2] * B[0] + ia[3] * B[2]
-    t22 = ia[2] * B[1] + ia[3] * B[3]
-    s11 = D[0] - (C[0] * t11 + C[1] * t21) / det_a
-    s12 = D[1] - (C[0] * t12 + C[1] * t22) / det_a
-    s21 = D[2] - (C[2] * t11 + C[3] * t21) / det_a
-    s22 = D[3] - (C[2] * t12 + C[3] * t22) / det_a
-    return det_a * (s11 * s22 - s12 * s21)
 
 
 def cluster_traces(values, counts, chi: float, mass: float) -> tuple[complex, complex]:

@@ -8,7 +8,6 @@ deterministic counterpart from the Dyson module.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -17,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .criticality import scaling_gamma
-from .dyson import FlowScalings, solve_v, solve_v_scalar
+from .dyson import FlowScalings, solve_v
 from .errors import (
     DimensionMismatch,
     ConditionViolated,
@@ -44,7 +43,6 @@ __all__ = [
     "girko_check",
     "log_det_statistic",
     "smallest_sv_tail",
-    "local_law_dispersion",
 ]
 
 MODELS = ("ginibre", "iid-bernoulli-like", "iid-custom")
@@ -84,35 +82,16 @@ class CorrelationEstimate:
 class HermitizedOperator:
     """2N x 2N Hermitization of A + X - z with its base point.
 
-    The off-diagonal block is stored; the full matrix and both spectral
-    routes (Hermitian eigensolve, direct SVD) are derived from it.
+    Only the off-diagonal block is stored: the 2N eigenvalues of the
+    Hermitization are plus and minus its singular values.
     """
 
     z: complex
     block: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.block.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        n = self.n
-        h = np.zeros((2 * n, 2 * n), dtype=complex)
-        h[:n, n:] = self.block
-        h[n:, :n] = self.block.conj().T
-        return h
-
-    def eigenvalues(self) -> np.ndarray:
-        """All 2N eigenvalues, ascending; symmetric about 0."""
-        return np.linalg.eigvalsh(self.matrix())
-
     def singular_values(self) -> np.ndarray:
         """The N singular values of the block, ascending."""
         return np.sort(np.linalg.svd(self.block, compute_uv=False))
-
-    def log_abs_det(self) -> float:
-        # |det H^z| = |det(A+X-z)|^2
-        return 2.0 * float(np.sum(np.log(self.singular_values())))
 
 
 @dataclass(frozen=True)
@@ -251,7 +230,6 @@ def estimate_statistic(
     trials: int,
     seed0: int = 0,
     jobs: int = 1,
-    precision: float | None = None,
 ) -> CorrelationEstimate:
     """Monte Carlo estimate of E sum over distinct k-tuples of F(w_i1..wik).
 
@@ -280,11 +258,6 @@ def estimate_statistic(
         std_error = float(np.std(per_trial, ddof=1) / np.sqrt(trials))
     else:
         std_error = float("inf")
-    if precision is not None and std_error > precision:
-        warnings.warn(
-            f"std_error {std_error:.3e} above requested precision {precision:.3e}",
-            stacklevel=2,
-        )
     return CorrelationEstimate(
         k=int(k),
         test_function_id=fn_id,
@@ -569,25 +542,3 @@ def smallest_sv_tail(
     p = hits / trials
     err = float(np.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials))
     return TailEstimate(probability=p, std_error=err, trials=int(trials), eta=float(eta))
-
-
-def local_law_dispersion(
-    spec: DeformationSpectrum,
-    model: str,
-    eta: float,
-    trials: int,
-    z: complex = 0.0,
-    seed0: int = 0,
-) -> float:
-    """Sample standard deviation of <G^z(i eta) - M(i eta)> across trials.
-
-    Both traces are purely imaginary on the imaginary axis, so the spread
-    of the imaginary part is the full fluctuation.
-    """
-    im_m = solve_v_scalar(spec, z=z, eta=eta).m_trace.imag
-    gaps = np.empty(int(trials))
-    for j in range(int(trials)):
-        svs = hermitize(spec, sample_matrix(model, spec.n, seed0 + j), z).singular_values()
-        im_g = float(np.mean(2.0 * eta / (svs * svs + eta * eta))) / 2.0
-        gaps[j] = im_g - im_m
-    return float(np.std(gaps, ddof=1))

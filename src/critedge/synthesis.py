@@ -21,8 +21,6 @@ __all__ = [
     "random_deformation_critical",
     "random_real_critical",
     "quartet_deformation",
-    "shear_pair_matrix",
-    "shear_quartet_matrix",
 ]
 
 
@@ -185,32 +183,3 @@ def quartet_deformation(c: float, n: int = 4) -> DeformationSpectrum:
     scale = float(np.sqrt(weighted_moment(d, 0.25, -1, -1)))
     counts = np.full(4, n // 4, dtype=np.int64)
     return DeformationSpectrum(scale * d, counts, n)
-
-
-def shear_pair_matrix(c: float, reps: int = 1) -> np.ndarray:
-    """Non-normal block family [[-1, c], [0, 1]], criticality-normalised.
-
-    Dense on purpose: its Hessian is only reachable through the matrix
-    route.  alpha = -(2 + 2c^2)/(6 + 2c^2), covering (-1, -1/3].
-    """
-    blk = np.array([[-1.0, c], [0.0, 1.0]], dtype=complex)
-    # the block is an involution, so the inverse second moment matches the
-    # forward one and criticality needs multiplication, not division
-    blk *= np.sqrt(1.0 + c * c / 2.0)
-    return np.kron(np.eye(reps), blk)
-
-
-def shear_quartet_matrix(c: float, reps: int = 1) -> np.ndarray:
-    """Non-normal four-block family reaching alpha above -1/3.
-
-    Jordan blocks at +-1 with off-diagonal sqrt(2) c; the plain-c variant
-    misses the documented alpha = -(2 + 4c^2)/(6 + 20c^2) curve.
-    """
-    off = np.sqrt(2.0) * c
-    a1 = np.array([[-1.0, off], [0.0, -1.0]], dtype=complex)
-    a2 = np.array([[1.0, off], [0.0, 1.0]], dtype=complex)
-    blk = np.zeros((4, 4), dtype=complex)
-    blk[:2, :2] = a1
-    blk[2:, 2:] = a2
-    blk *= np.sqrt(1.0 + c * c)
-    return np.kron(np.eye(reps), blk)

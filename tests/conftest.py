@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from critedge.dyson import solve_v_scalar
+from critedge.spectra import hermitize, sample_matrix
 from critedge.spectrum import DeformationSpectrum
 
 settings.register_profile(
@@ -44,6 +46,25 @@ def bisect_v():
         return 0.5 * (lo + hi)
 
     return solve
+
+
+@pytest.fixture
+def local_law_dispersion():
+    """Sample standard deviation of <G^z(i eta) - M(i eta)> across trials.
+
+    Both traces are purely imaginary on the imaginary axis, so the spread
+    of the imaginary part is the full fluctuation.
+    """
+
+    def dispersion(spec: DeformationSpectrum, model, eta, trials, z=0.0, seed0=0):
+        im_m = solve_v_scalar(spec, z=z, eta=eta).m_trace.imag
+        gaps = np.empty(int(trials))
+        for j in range(int(trials)):
+            svs = hermitize(spec, sample_matrix(model, spec.n, seed0 + j), z).singular_values()
+            gaps[j] = float(np.mean(2.0 * eta / (svs * svs + eta * eta))) / 2.0 - im_m
+        return float(np.std(gaps, ddof=1))
+
+    return dispersion
 
 
 @pytest.fixture

@@ -21,8 +21,6 @@ from critedge.synthesis import (
     random_deformation_critical,
     random_inverse_critical,
     random_real_critical,
-    shear_pair_matrix,
-    shear_quartet_matrix,
 )
 
 
@@ -35,45 +33,17 @@ def test_pm_spectrum_report(pm_spectrum):
 
 def test_quartet_alpha_formula():
     for c in (0.0, 0.25, 0.5, 1.0):
-        rep = verify_criticality(quartet_deformation(c, 400))
+        spec = quartet_deformation(c, 400)
+        rep = verify_criticality(spec)
         want = (-1.0 + 3.0 * c * c) / (3.0 - c * c)
         assert rep.is_critical
         assert rep.alpha == pytest.approx(want, abs=1e-10)
+        assert shape_alpha(hessian_at_origin(spec)) == rep.alpha
 
 
 def test_quartet_half_value():
     rep = verify_criticality(quartet_deformation(0.5, 8))
     assert rep.alpha == pytest.approx(-1.0 / 11.0, abs=1e-12)
-
-
-def test_shear_pair_alpha_formula():
-    for c in (0.1, 1.0, 10.0):
-        alpha = shape_alpha(hessian_at_origin(shear_pair_matrix(c)))
-        assert alpha == pytest.approx(-(2 + 2 * c * c) / (6 + 2 * c * c), abs=1e-10)
-
-
-def test_shear_quartet_alpha_formula():
-    for c in (0.1, 1.0, 10.0):
-        alpha = shape_alpha(hessian_at_origin(shear_quartet_matrix(c)))
-        assert alpha == pytest.approx(-(2 + 4 * c * c) / (6 + 20 * c * c), abs=1e-10)
-
-
-def test_shear_pair_breaks_normal_lower_bound():
-    # non-normal deformations may dip below the normal-case floor -1/3
-    for c in (1.0, 2.0, 10.0):
-        alpha = shape_alpha(hessian_at_origin(shear_pair_matrix(c)))
-        assert alpha < -1.0 / 3.0
-
-
-def test_shear_families_are_critical():
-    for c in (0.1, 1.0, 10.0):
-        for m in (shear_pair_matrix(c), shear_quartet_matrix(c)):
-            mi = np.linalg.inv(m)
-            n = m.shape[0]
-            inv2 = float(np.real(np.trace(mi @ mi.conj().T)) / n)
-            skew = complex(np.trace(mi @ mi @ mi.conj().T) / n)
-            assert inv2 == pytest.approx(1.0, abs=1e-12)
-            assert abs(skew) <= 1e-12
 
 
 def test_chi_alpha_closed_form():

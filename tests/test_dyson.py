@@ -98,15 +98,6 @@ def test_scalar_matches_full_on_samples(pm_spectrum):
         assert abs(s.v - (f.m_trace.imag + eta)) <= 1e-9 * max(1.0, s.v)
 
 
-def test_full_accepts_dense_matrix():
-    from critedge.synthesis import shear_pair_matrix
-
-    m = shear_pair_matrix(0.5, reps=8)
-    f = solve_mde_full(m, z=0.05 + 0.02j, eta=1e-4)
-    assert f.converged
-    assert f.im_min > 0.0
-
-
 def test_solve_batch_field_order(pm_spectrum):
     rows = solve_batch(
         pm_spectrum,

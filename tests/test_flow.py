@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
 
 from critedge.criticality import chi as chi_of
 from critedge.errors import (
@@ -26,6 +28,7 @@ from critedge.flow import (
     shrink_clusters,
     validate_assumption,
 )
+from critedge.flow.construct import _assign
 from critedge.flow.continuation import continue_anchored
 from critedge.flow.ift import CONTRACTION_SLACK
 from critedge.flow.maps import realify, weighted_pair_trace
@@ -243,6 +246,34 @@ def test_fix_spectrum_flow_dimension_mismatch():
     b1 = random_inverse_critical(1, n=200)
     with pytest.raises(ConditionViolated):
         fix_spectrum_flow(b0, b1)
+
+
+@given(l0=st.integers(1, 29), l1=st.integers(1, 29), seed=st.integers(0, 2**32 - 1))
+def test_assign_matches_the_scipy_oracle_on_padded_supports(l0, l1, seed):
+    # the cost matrix of _align_supports: matched distances within tol, a
+    # mass-weighted penalty for each unmatched site, a free dummy block
+    rng = np.random.default_rng(seed)
+    tol, n = 0.2, 400
+    z0 = rng.normal(size=l0) + 1j * rng.normal(size=l0)
+    moved = z0[rng.permutation(l0)[: min(l0, l1)]]
+    fresh = rng.normal(size=l1 - moved.size) + 1j * rng.normal(size=l1 - moved.size)
+    z1 = np.concatenate([moved, fresh]) + 0.08 * (rng.normal(size=l1) + 1j * rng.normal(size=l1))
+    m0, m1 = rng.integers(1, 60, l0), rng.integers(1, 60, l1)
+    cost = np.full((l0 + l1, l1 + l0), 1e9)
+    d = np.abs(z0[:, None] - z1[None, :])
+    cost[:l0, :l1] = np.where(d <= tol, d, 1e9)
+    cost[np.arange(l0), l1 + np.arange(l0)] = tol * (1.0 + m0 / n)
+    cost[l0 + np.arange(l1), np.arange(l1)] = tol * (1.0 + m1 / n)
+    cost[l0:, l1:] = 0.0
+
+    col = _assign(cost)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert np.array_equal(np.sort(col), np.arange(l0 + l1))
+    best = cost[rows, cols].sum()
+    assert abs(cost[np.arange(l0 + l1), col].sum() - best) <= 1e-12 * max(1.0, best)
+    ours = {(i, int(col[i])) for i in range(l0) if col[i] < l1 and d[i, col[i]] <= tol}
+    oracle = {(int(i), int(j)) for i, j in zip(rows, cols) if i < l0 and j < l1 and d[i, j] <= tol}
+    assert ours == oracle
 
 
 # ------------------------------------------------------------- hermitian

@@ -66,7 +66,7 @@ def test_inverse_side_pipeline_matches_golden(golden, seed):
     cfg = FlowConfig(grid_points=65)
     leg1 = finite_support_flow(random_inverse_critical(seed, n=80), 6.0, cfg)
     assert_path(golden, f"finite_support{seed}", leg1)
-    target = independent_count_target(leg1.final, cfg=cfg)
+    target = independent_count_target(leg1.final)
     assert_spectrum(golden, f"count_target{seed}", target)
     assert_path(golden, f"fix{seed}", fix_spectrum_flow(leg1.final, target, cfg))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critedge.errors import ConditionViolated
-from critedge.flow import det_quartet, f_chi_p
+from critedge.flow import f_chi_p
 from critedge.flow.maps import (
     realify,
     unrealify,
@@ -70,40 +70,12 @@ def test_jacobian_matches_finite_differences(x1, y1, x2, y2, chi, p):
     assert np.abs(out.jacobian - fd).max() < 5e-8 * scale
 
 
-@settings(max_examples=60)
-@given(
-    x1=st.floats(0.3, 1.5),
-    y1=st.floats(-1.0, 1.0),
-    x2=st.floats(-1.5, -0.3),
-    y2=st.floats(-1.0, 1.0),
-    chi=st.floats(0.0, 0.9),
-    p=st.floats(0.15, 0.85),
-)
-def test_det_quartet_strips_the_weight(x1, y1, x2, y2, chi, p):
-    z1, z2 = complex(x1, y1), complex(x2, y2)
-    out = f_chi_p(z1, z2, chi, p)
-    full = np.linalg.det(out.jacobian)
-    stripped = p**2 * (1.0 - p) ** 2 * det_quartet(z1, z2, chi)
-    assert abs(full - stripped) < 1e-10 * max(1.0, abs(full))
-
-
-def test_det_quartet_broadcasts():
-    z1 = np.array([1.0 + 0.2j, 0.8 - 0.1j])
-    z2 = np.array([-1.0 + 0.1j, -0.9 + 0.4j])
-    batch = det_quartet(z1, z2, 0.4)
-    assert batch.shape == (2,)
-    for k in range(2):
-        single = det_quartet(z1[k], z2[k], 0.4)
-        assert abs(batch[k] - single) < 1e-12 * max(1.0, abs(single))
-
-
 def test_real_degenerate_corner_at_chi_one():
     # both points real and chi = 1: the two trace kernels coincide on the
     # real axis, so the determinant vanishes identically
     for z1, z2 in ((1.0, -1.0), (0.7, -1.3), (2.0, -0.5)):
-        d = det_quartet(z1, z2, 1.0)
-        assert abs(d) <= 1e-12 * max(1.0, abs(z1), abs(z2)) ** 8
         out = f_chi_p(z1, z2, 1.0, 0.5)
+        assert abs(np.linalg.det(out.jacobian)) <= 1e-12 * max(1.0, abs(z1), abs(z2)) ** 8
         assert out.inv_norm > 1e10
 
 

@@ -25,7 +25,6 @@ from critedge.spectra import (
     estimate_statistic,
     girko_check,
     hermitize,
-    local_law_dispersion,
     log_det_statistic,
     radial_bump,
     rescale,
@@ -101,11 +100,13 @@ def test_hermitization_spectrum_is_symmetric_pm_singular_values():
     spec = quartet_deformation(0.5, n=48)
     x = sample_matrix("ginibre", 48, seed=3)
     op = hermitize(spec, x, z=0.2 + 0.1j)
-    ev = np.sort(op.eigenvalues())
+    zero = np.zeros_like(op.block)
+    h = np.block([[zero, op.block], [op.block.conj().T, zero]])
     svs = op.singular_values()
     merged = np.sort(np.concatenate([svs, -svs]))
-    assert np.max(np.abs(ev - merged)) < 1e-10
-    assert op.log_abs_det() == pytest.approx(2.0 * np.sum(np.log(svs)))
+    assert np.max(np.abs(np.linalg.eigvalsh(h) - merged)) < 1e-10
+    # |det H^z| = |det(A + X - z)|^2
+    assert np.linalg.slogdet(h)[1] == pytest.approx(2.0 * np.sum(np.log(svs)))
 
 
 # ---------------------------------------------------------------- bumps
@@ -159,7 +160,7 @@ def test_estimate_statistic_custom_callable_and_k2():
     assert est2.value == pytest.approx(32.0 * 31.0)  # ordered distinct pairs
 
 
-def test_local_law_dispersion_shrinks_with_eta():
+def test_local_law_dispersion_shrinks_with_eta(local_law_dispersion):
     spec = quartet_deformation(0.5, n=64)
     rough = local_law_dispersion(spec, "ginibre", eta=0.05, trials=12, z=0.1)
     fine = local_law_dispersion(spec, "ginibre", eta=0.5, trials=12, z=0.1)
@@ -175,7 +176,7 @@ def test_smallest_sv_tail_limits():
     assert high.std_error > 0
 
 
-def test_sv_statistics_compute_no_eigenvalues(monkeypatch):
+def test_sv_statistics_compute_no_eigenvalues(monkeypatch, local_law_dispersion):
     def refuse(*args, **kwargs):
         raise AssertionError("eigenvalues computed and thrown away")
 
@@ -276,14 +277,12 @@ def test_girko_pinned_node_raises():
         girko_check(spec, np.zeros((24, 24)), f, quad_points=33, jitter=0.0)
 
 
-def test_girko_cli_leaves_scipy_unimported(tmp_path):
-    spectrum = tmp_path / "q.json"
-    quartet_deformation(0.5, n=24).save(spectrum)
+def scipy_modules_after_cli(argv) -> str:
+    """The scipy modules a fresh interpreter holds after ``cli.main(argv)``."""
     code = (
         "import sys\n"
         "from critedge.cli import main\n"
-        f"rc = main(['simulate', {str(spectrum)!r}, '--statistic', 'girko', '--quad', '16',"
-        f" '--out', {str(tmp_path / 'g.csv')!r}])\n"
+        f"rc = main({list(map(str, argv))!r})\n"
         "assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -291,7 +290,22 @@ def test_girko_cli_leaves_scipy_unimported(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.splitlines()[-1]
+
+
+def test_girko_cli_leaves_scipy_unimported(tmp_path):
+    spectrum = tmp_path / "q.json"
+    quartet_deformation(0.5, n=24).save(spectrum)
+    argv = ["simulate", spectrum, "--statistic", "girko", "--quad", "16",
+            "--out", tmp_path / "g.csv"]
+    assert scipy_modules_after_cli(argv) == "[]"
+
+
+def test_flow_cli_leaves_scipy_unimported(tmp_path):
+    # a complex spectrum: the fix leg aligns two supports by an assignment
+    spectrum = tmp_path / "a.json"
+    random_deformation_critical(0, n=400).save(spectrum)
+    assert scipy_modules_after_cli(["flow", spectrum, "--out", tmp_path / "p.jsonl"]) == "[]"
 
 
 def test_eta_log_identity_matches_closed_form(eta_log_identity):
