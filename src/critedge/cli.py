@@ -41,7 +41,11 @@ EXIT_USAGE = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by all subcommands."""
+    """Validated run parameters of all subcommands.
+
+    A config file may set every field; a subcommand has flags only for the
+    fields it reads (SUBCOMMAND_FLAGS).
+    """
 
     n: int | None = None
     seed: int = 0
@@ -52,7 +56,6 @@ class RunConfig:
     h0: float | None = None
     grid: int = 257
     quad: int = 128
-    jobs: int = 1
     model: str = "ginibre"
     out: str | None = None
 
@@ -75,8 +78,6 @@ class RunConfig:
             raise ConfigError(f"grid must be at least 2, got {self.grid}")
         if self.quad < 2:
             raise ConfigError(f"quad must be at least 2, got {self.quad}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be positive, got {self.jobs}")
         if self.model not in spectra.MODELS:
             raise ConfigError(
                 f"model must be one of {spectra.MODELS}, got {self.model!r}"
@@ -109,12 +110,6 @@ class RunConfig:
             return cls(**merged)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_canonical_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.field_names()}
-
-    def serialize(self) -> str:
-        return _dumps(self.to_canonical_dict())
 
 
 def _dumps(obj) -> str:
@@ -158,11 +153,6 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if report.is_critical else EXIT_DOMAIN
 
 
-def _is_real(spec: DeformationSpectrum) -> bool:
-    scale = max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-    return float(np.max(np.abs(spec.eigenvalues.imag))) <= 1e-12 * scale
-
-
 def _report_path(args: argparse.Namespace, cfg: RunConfig) -> str | None:
     if args.report is not None:
         return args.report
@@ -189,7 +179,7 @@ def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     b0, phi = derive_b0(spec)
     flow_cfg = FlowConfig(grid_points=cfg.grid, h0=cfg.h0)
-    if _is_real(b0):
+    if b0.is_real():
         path_b = hermitian_flow(b0, frak_c=cfg.frak_c, grid_points=cfg.grid)
     else:
         leg1 = finite_support_flow(b0, frak_c=cfg.frak_c, cfg=flow_cfg)
@@ -262,7 +252,6 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
             test_function=args.test_function,
             trials=cfg.trials,
             seed0=cfg.seed,
-            jobs=cfg.jobs,
         )
         rows = [["trial", "value"]] + [
             [j, repr(float(v))] for j, v in enumerate(est.per_trial)
@@ -358,20 +347,27 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 # argument wiring
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+# argparse keywords of the flag of each RunConfig field
+_FLAG_KWARGS = {
+    **dict.fromkeys(("n", "seed", "trials", "grid", "quad"), {"type": int}),
+    **dict.fromkeys(("delta", "frak_c", "tol", "h0"), {"type": float}),
+    "model": {"choices": spectra.MODELS},
+    "out": {"metavar": "PATH"},
+}
+
+# the RunConfig fields each subcommand reads; any other flag exits with 2
+SUBCOMMAND_FLAGS = {
+    "analyze": ("frak_c", "tol", "out"),
+    "flow": ("frak_c", "tol", "h0", "grid", "out"),
+    "simulate": ("n", "seed", "trials", "delta", "quad", "model", "out"),
+    "compare": ("out",),
+}
+
+
+def _config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--frak-c", dest="frak_c", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--jobs", type=int)
-    parser.add_argument("--out", metavar="PATH")
-    parser.add_argument("--h0", type=float)
-    parser.add_argument("--grid", type=int)
-    parser.add_argument("--quad", type=int)
-    parser.add_argument("--model", choices=spectra.MODELS)
+    for name in SUBCOMMAND_FLAGS[command]:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAG_KWARGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="criticality report for a spectrum file")
     p.add_argument("spectrum", help="spectrum JSON file")
-    _common_flags(p)
+    _config_flags(p, "analyze")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("flow", help="build and validate a deformation path")
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--frak-c-small", dest="frak_c_small", type=float, default=0.05,
         help="exponent in the alpha drift bound n^(-c)",
     )
-    _common_flags(p)
+    _config_flags(p, "flow")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("simulate", help="Monte Carlo statistics")
@@ -416,13 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=complex, default=0.0, help="field center / base point")
     p.add_argument("--sigma", type=float, default=0.5, help="field width")
     p.add_argument("--eta", type=float, help="singular value threshold")
-    _common_flags(p)
+    _config_flags(p, "simulate")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="two-sample verdict from summary files")
     p.add_argument("stats_a", help="first summary JSON")
     p.add_argument("stats_b", help="second summary JSON")
-    _common_flags(p)
+    _config_flags(p, "compare")
     p.set_defaults(func=cmd_compare)
 
     return parser

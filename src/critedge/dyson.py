@@ -73,11 +73,9 @@ class FullMdeSolution:
 
     z: complex
     eta: float
-    m: np.ndarray
     m_trace: complex
     residual: float
     iterations: int
-    converged: bool
     im_min: float
 
 
@@ -177,11 +175,11 @@ def solve_mde_full(
     """Solve the full matrix Dyson equation for the Hermitization of A - z.
 
     The iteration runs on the complex scalar self-energy s = tr(M) through
-    the spectral decomposition of the 2n x 2n Hermitization (computed once),
-    without assuming any symmetry of s.  A singular iterate (Im(i eta + s)
-    <= 0) restarts the loop with stronger damping.  The fixed point is
+    the eigenvalues of the 2n x 2n Hermitization (computed once; M itself
+    is never formed), without assuming any symmetry of s.  A singular
+    iterate (Im(i eta + s) <= 0) restarts the loop with stronger damping.  The fixed point is
     accepted when its trace-norm defect |tr((S_H - i eta - s)^-1) - s| is
-    at most FULL_TOL.
+    at most FULL_TOL; a larger defect raises NoConvergence.
     """
     if not (eta > 0.0) or not np.isfinite(eta):
         raise InvalidEta(f"eta must be positive and finite, got {eta}")
@@ -190,7 +188,7 @@ def solve_mde_full(
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     h[:n, n:] = y
     h[n:, :n] = y.conj().T
-    evals, vecs = np.linalg.eigh(h)
+    evals = np.linalg.eigvalsh(h)
 
     omega = 0.5
     for _ in range(6):
@@ -244,18 +242,14 @@ def solve_mde_full(
 
     diag = 1.0 / (evals - 1j * eta - s)
     residual = abs(complex(np.mean(diag)) - s)
-    converged = residual <= FULL_TOL
-    if not converged:
+    if residual > FULL_TOL:
         raise NoConvergence(f"full Dyson solve defect {residual:.3e} exceeds tol {FULL_TOL}")
-    m = (vecs * diag) @ vecs.conj().T
     return FullMdeSolution(
         z=complex(z),
         eta=float(eta),
-        m=m,
         m_trace=complex(np.mean(diag)),
         residual=float(residual),
         iterations=iterations,
-        converged=bool(converged),
         im_min=float(np.min(diag.imag)),
     )
 

@@ -2,7 +2,6 @@
 
 from .construct import (
     FlowConfig,
-    HalfPlaneMass,
     ShrinkResult,
     finite_support_flow,
     fix_spectrum_flow,
@@ -26,7 +25,6 @@ __all__ = [
     "AssumptionReport",
     "FlowConfig",
     "FlowPath",
-    "HalfPlaneMass",
     "IftCertificate",
     "IftProblem",
     "IftSolution",

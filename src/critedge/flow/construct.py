@@ -63,7 +63,6 @@ from .paths import FlowPath
 
 __all__ = [
     "FlowConfig",
-    "HalfPlaneMass",
     "ShrinkResult",
     "half_plane_mass_constant",
     "shrink_clusters",
@@ -78,6 +77,9 @@ __all__ = [
 DELTA_TV = 0.2
 # how far the stepped end shift of fix_spectrum_flow may miss the target
 ENDPOINT_TOL = 1e-8
+# independent_count_target snaps count fractions to multiples of
+# 1/COUNT_DENOMINATOR
+COUNT_DENOMINATOR = 40
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,7 @@ def _default_grid(points: int) -> np.ndarray:
 # ---------------------------------------------------------------- half plane
 
 
-@dataclass(frozen=True)
-class HalfPlaneMass:
-    c: float
-    count_left: int
-    count_right: int
-    n: int
-
-
-def half_plane_mass_constant(b: DeformationSpectrum, frak_c: float) -> HalfPlaneMass:
+def half_plane_mass_constant(b: DeformationSpectrum, frak_c: float) -> float:
     """Largest dyadic c with more than cN spectral mass beyond both lines
     Re = -c and Re = +c.
 
@@ -118,15 +112,12 @@ def half_plane_mass_constant(b: DeformationSpectrum, frak_c: float) -> HalfPlane
     gate_inverse_side(frak_c, b)
     re = b.eigenvalues.real
     mult = b.multiplicities
-    n = b.n
     for k in range(1, 60):
         c = 2.0**-k
         if c >= 1.0 / (2.0 * frak_c):
             continue
-        left = int(mult[re < -c].sum())
-        right = int(mult[re > c].sum())
-        if left > c * n and right > c * n:
-            return HalfPlaneMass(c=c, count_left=left, count_right=right, n=n)
+        if mult[re < -c].sum() > c * b.n and mult[re > c].sum() > c * b.n:
+            return c
     raise NoValidConstant(
         "no dyadic constant carries the required half-plane mass; "
         "the input cannot be critical with Re tr B^3 B* >= 0"
@@ -166,23 +157,21 @@ def shrink_clusters(
     chi: float,
     grid=None,
     *,
-    counts1=None,
-    counts2=None,
     h: float | None = None,
-    c: float | None = None,
 ) -> ShrinkResult:
     """Contract two clusters onto single points without moving the pair traces.
 
     Entries travel along straight lines v + t (z - v) toward the centers
     while a common corrective shift per cluster (the implicit function)
-    keeps both conserved sums exactly at their initial values.
+    keeps both conserved sums exactly at their initial values.  Every entry
+    counts once.  The caller checks the admissibility of the centers.
     """
     v1 = np.asarray(v1, dtype=complex).reshape(-1)
     v2 = np.asarray(v2, dtype=complex).reshape(-1)
     if v1.size == 0 or v2.size == 0:
         raise ConditionViolated(["both clusters must be nonempty"])
-    c1 = np.ones(v1.size) if counts1 is None else np.asarray(counts1, dtype=float)
-    c2 = np.ones(v2.size) if counts2 is None else np.asarray(counts2, dtype=float)
+    c1 = np.ones(v1.size)
+    c2 = np.ones(v2.size)
     z1 = complex(z1)
     z2 = complex(z2)
     grid = _default_grid(257) if grid is None else np.asarray(grid, dtype=float)
@@ -199,17 +188,6 @@ def shrink_clusters(
             raise MeshTooCoarse(
                 f"cluster sup-radius {radius:.4g} exceeds mesh width {h:.4g}"
             )
-    mass1, mass2 = float(c1.sum()), float(c2.sum())
-    p = mass1 / (mass1 + mass2)
-    if c is not None:
-        ratio = mass1 / mass2
-        if not (2 * c < ratio < 1.0 / (2 * c)):
-            raise ConditionViolated(
-                [f"mass ratio {ratio:.4g} outside (2c, 1/(2c)) for c = {c:.4g}"]
-            )
-        failures = check_z1z2(z1, z2, chi, p, c)
-        if failures:
-            raise ConditionViolated(failures)
 
     f_target = weighted_pair_trace(v1, c1, v2, c2, chi)
     x_dir = np.column_stack([d.real, d.imag]).ravel()  # dt of the realified entries
@@ -307,7 +285,7 @@ def _match_with_scan(s1, s2, ratio: float):
     for j in range(12):
         cm = base * 2.0**-j
         try:
-            matching = match_partitions(s1, s2, cm, strict=False)
+            matching = match_partitions(s1, s2, cm)
         except SizePreconditionFailed:
             continue
         if verify_matching(matching, s1, s2, cm):
@@ -332,7 +310,7 @@ def finite_support_flow(
     in ``meta``.
     """
     cfg = cfg or FlowConfig()
-    hp = half_plane_mass_constant(b, frak_c)
+    c0 = half_plane_mass_constant(b, frak_c)
     chi_re, chi_im = chi_of(b)
     units = b.expand()
     grid = _default_grid(cfg.grid_points)
@@ -342,7 +320,7 @@ def finite_support_flow(
         h = h0 * mult
         try:
             return _finite_support_attempt(
-                b, units, chi_re, complex(chi_re, chi_im), hp, h, frak_c, grid
+                b, units, chi_re, complex(chi_re, chi_im), c0, h, frak_c, grid
             )
         except (
             ChainExhausted,
@@ -355,9 +333,8 @@ def finite_support_flow(
     raise MeshTooCoarse("mesh ladder exhausted: " + " | ".join(attempts))
 
 
-def _finite_support_attempt(b, units, chi_re, chi_full, hp, h, frak_c, grid):
+def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
     n = b.n
-    c0 = hp.c
     re = units.real
     idx = np.arange(n)
     o_plus = idx[re > c0]
@@ -447,7 +424,7 @@ def _finite_support_attempt(b, units, chi_re, chi_full, hp, h, frak_c, grid):
         bad = check_z1z2(z1, z2, chi_re, p, c_z)
         if bad:
             raise PairingInfeasible(f"pairing {name}: centers violate {bad}")
-        res = shrink_clusters(v1, v2, z1, z2, chi_re, grid, h=h, c=c_z)
+        res = shrink_clusters(v1, v2, z1, z2, chi_re, grid, h=h)
         flows[:, idx1] = res.flow1
         flows[:, idx2] = res.flow2
         fallback += res.fallback_steps
@@ -479,7 +456,7 @@ def _finite_support_attempt(b, units, chi_re, chi_full, hp, h, frak_c, grid):
     path = assemble_path(
         grid, flows, np.ones(n), n, np.full(t_count, chi_full), "shrink", meta
     )
-    support_final = path.final.support_size(0.0)
+    support_final = path.final.eigenvalues.size
     if support_final > m_bound:
         raise MeshTooCoarse(
             f"final support {support_final} exceeds M = {m_bound:.1f}"
@@ -720,22 +697,18 @@ def fix_spectrum_flow(
     )
 
 
-def independent_count_target(
-    b: DeformationSpectrum,
-    denominator: int = 40,
-    chi_target: float | None = None,
-) -> DeformationSpectrum:
+def independent_count_target(b: DeformationSpectrum) -> DeformationSpectrum:
     """Nearest critical spectrum whose count fractions are multiples of
-    1/denominator.
+    1/COUNT_DENOMINATOR.
 
     Counts snap to the dimension-independent fraction grid; sites that snap
     to zero are dropped.  The two heaviest surviving blocks with separated
     real parts absorb the value correction that restores tr B^2 B* = 0 and
-    the requested chi exactly.
+    the chi of b exactly.
     """
     n = b.n
     spec = b.canonical(0.0)
-    q = n / denominator
+    q = n / COUNT_DENOMINATOR
     vals = list(spec.eigenvalues)
     cnts = [int(m) for m in spec.multiplicities]
     # fold sub-quantum sites into their nearest neighbour first, so the
@@ -748,12 +721,12 @@ def independent_count_target(
         j = int(np.argmin(dist))
         cnts[j] += cnts[k]
         del vals[k], cnts[k]
-    spec = DeformationSpectrum(np.array(vals), np.array(cnts), n, spec.basis_id)
+    spec = DeformationSpectrum(np.array(vals), np.array(cnts), n)
     spec = spec.canonical(0.0)
     raw = spec.multiplicities / q
     snapped = np.round(raw)
-    # largest-remainder rebalance to keep the total at `denominator` units
-    excess = int(round(snapped.sum() - denominator))
+    # largest-remainder rebalance to keep the total at COUNT_DENOMINATOR units
+    excess = int(round(snapped.sum() - COUNT_DENOMINATOR))
     residue = raw - snapped
     while excess > 0:
         cand = np.where(snapped > 0, residue, np.inf)
@@ -775,7 +748,7 @@ def independent_count_target(
     z = spec.eigenvalues[keep].copy()
     counts = counts[keep]
 
-    chi_val = chi_of(b)[0] if chi_target is None else float(chi_target)
+    chi_val = chi_of(b)[0]
     i1, i2, p, mass12, rest = _anchor_pair(z.real[None, :], counts)
     q = cluster_traces(z[rest], counts[rest], chi_val, mass12)
     y, nrm, ok = newton(
@@ -788,7 +761,7 @@ def independent_count_target(
     w1, w2 = unrealify(y)
     z[i1] += w1
     z[i2] += w2
-    return DeformationSpectrum(z, counts, n, basis_id=b.basis_id)
+    return DeformationSpectrum(z, counts, n)
 
 
 # -------------------------------------------------------------- hermitian
@@ -804,12 +777,11 @@ def hermitian_flow(
     third-moment budget across the axis and is inverted by monotone
     bisection.  Criticality holds at every grid point by construction.
     """
-    ev = b.eigenvalues
-    if float(np.max(np.abs(ev.imag))) > 1e-12 * max(1.0, float(np.max(np.abs(ev)))):
+    if not b.is_real():
         raise NotReal(
-            f"spectrum has imaginary residual {np.max(np.abs(ev.imag)):.3e}"
+            f"spectrum has imaginary residual {np.max(np.abs(b.eigenvalues.imag)):.3e}"
         )
-    x = ev.real
+    x = b.eigenvalues.real
     cnt = b.multiplicities.astype(float)
     n = b.n
     pos = x > 0

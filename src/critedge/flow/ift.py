@@ -6,10 +6,10 @@ iterating, the contraction bound
 
     || I - (D_yF(0,0))^-1 D_yF(x, y) || <= 1/2
 
-is verified on a sample of the control/unknown box, and the certified input
-radius is shrunk to  min(h_x, h_y / (2 C1 C2))  with C1 = 1 or the inverse
-Jacobian norm (whichever is larger) and C2 the sampled control-derivative
-bound.  The iterate error then halves per step and the solution map is
+is verified on a sample of the control/unknown box (the origin, the axis
+points and SAMPLES random points), and the certified input radius is
+shrunk to  min(h_x, h_y / (2 C1 C2))  with C1 = 1 or the inverse Jacobian
+norm (whichever is larger) and C2 the sampled control-derivative bound.  The iterate error then halves per step and the solution map is
 Lipschitz with constant at most 2 C1 C2.
 """
 
@@ -26,6 +26,11 @@ __all__ = ["IftProblem", "IftCertificate", "IftSolution", "frozen_solve", "quant
 
 # tolerated excess over the 1/2 contraction bound before refusing to solve
 CONTRACTION_SLACK = 0.05
+# frozen-Jacobian steps of the solve
+MAX_ITER = 200
+# random points of the (x, y) box on which the contraction is sampled, on
+# top of the origin and the points on the axes
+SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,10 @@ class IftProblem:
     """Implicit system F(x, y) = 0 around a root at the origin.
 
     ``residual`` maps (x, y) as 1-D float arrays to a float array of the
-    unknown's dimension.  ``d_y``/``d_x`` are optional analytic Jacobians;
-    finite differences are used when absent.  ``h_x``/``h_y`` are the box
-    radii (Euclidean) within which the contraction property is claimed.
+    unknown's dimension.  ``d_y`` is its analytic Jacobian in y; ``d_x``
+    an optional analytic Jacobian in x, finite differences when absent.
+    ``h_x``/``h_y`` are the box radii (Euclidean) within which the
+    contraction property is claimed.
     """
 
     residual: Callable
@@ -43,7 +49,7 @@ class IftProblem:
     h_y: float
     dim_x: int
     dim_y: int
-    d_y: Callable | None = None
+    d_y: Callable
     d_x: Callable | None = None
 
 
@@ -67,25 +73,19 @@ class IftSolution:
     certificate: IftCertificate
 
 
-def _fd_jacobian(f, x, y, wrt, dim_out, step=1e-7):
+def _fd_jacobian_x(f, x, y, step=1e-7):
+    """Forward-difference Jacobian of f(x, y) in x."""
     base = np.asarray(f(x, y), dtype=float)
-    var = y if wrt == "y" else x
     cols = []
-    for k in range(var.size):
-        bumped = var.copy()
-        h = step * max(1.0, abs(var[k]))
+    for k in range(x.size):
+        bumped = x.copy()
+        h = step * max(1.0, abs(x[k]))
         bumped[k] += h
-        if wrt == "y":
-            shifted = np.asarray(f(x, bumped), dtype=float)
-        else:
-            shifted = np.asarray(f(bumped, y), dtype=float)
-        cols.append((shifted - base) / h)
-    if not cols:
-        return np.zeros((dim_out, 0))
+        cols.append((np.asarray(f(bumped, y), dtype=float) - base) / h)
     return np.stack(cols, axis=1)
 
 
-def _sample_points(problem: IftProblem, samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _sample_points(problem: IftProblem) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic low-discrepancy-ish sample of the (x, y) box."""
     nx, ny = problem.dim_x, problem.dim_y
     rng = np.random.default_rng(20240814)
@@ -100,7 +100,7 @@ def _sample_points(problem: IftProblem, samples: int) -> list[tuple[np.ndarray, 
             e = np.zeros(ny)
             e[k] = scale * problem.h_y
             pts.append((np.zeros(nx), e))
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         dx = rng.standard_normal(nx)
         dy = rng.standard_normal(ny)
         nx_norm = np.linalg.norm(dx) or 1.0
@@ -136,8 +136,6 @@ def quantitative_ift(
     x_target,
     y0=None,
     tol: float = 1e-12,
-    max_iter: int = 200,
-    samples: int = 8,
 ) -> IftSolution:
     """Solve F(x_target, y) = 0 with a contraction certificate.
 
@@ -146,7 +144,7 @@ def quantitative_ift(
     x_target : control value, scalar or 1-D array of dimension dim_x.
     y0 : optional warm start for the unknown (defaults to 0, the proof's
         iteration start; a warm start changes nothing about the certificate).
-    tol : target on ||F(x_target, y)||.
+    tol : target on ||F(x_target, y)||, reached within MAX_ITER steps.
 
     Raises
     ------
@@ -161,14 +159,12 @@ def quantitative_ift(
     f = problem.residual
 
     def d_y(x, y):
-        if problem.d_y is not None:
-            return np.asarray(problem.d_y(x, y), dtype=float)
-        return _fd_jacobian(f, x, y, "y", problem.dim_y)
+        return np.asarray(problem.d_y(x, y), dtype=float)
 
     def d_x(x, y):
         if problem.d_x is not None:
             return np.asarray(problem.d_x(x, y), dtype=float)
-        return _fd_jacobian(f, x, y, "x", problem.dim_y)
+        return _fd_jacobian_x(f, x, y)
 
     x0 = np.zeros(problem.dim_x)
     y_zero = np.zeros(problem.dim_y)
@@ -176,7 +172,7 @@ def quantitative_ift(
     j0_inv = np.linalg.inv(j0)
     c1 = max(1.0, float(np.linalg.norm(j0_inv, 2)))
 
-    pts = _sample_points(problem, samples)
+    pts = _sample_points(problem)
     eye = np.eye(problem.dim_y)
     contraction_max = 0.0
     c2 = 0.0
@@ -198,7 +194,7 @@ def quantitative_ift(
         )
 
     y, res_norm, iterations = frozen_solve(
-        lambda y: f(x_target, y), j0_inv, y_zero if y0 is None else y0, tol, max_iter
+        lambda y: f(x_target, y), j0_inv, y_zero if y0 is None else y0, tol, MAX_ITER
     )
     if res_norm > tol and res_norm > 1e-8:
         raise NoConvergence(

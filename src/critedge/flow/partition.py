@@ -13,9 +13,10 @@ a size-comparable bijection: every matched pair has size ratio in
    and its stretching inverse, and cut both sides along the merged boundary
    set.
 
-With the documented size preconditions the ratio bounds are guaranteed;
-``strict=False`` skips the precondition gate and instead validates the
-produced matching directly (useful for small handcrafted instances).
+The size preconditions c <= N1/N2 <= 1/c and N1, N2 >= 8 m1 m2 / c
+guarantee the ratio bounds.  They are not checked up front: the
+construction runs on any input and the produced matching is validated
+directly, which also serves small instances outside the preconditions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class PartitionMatching:
 
     refined_s1: tuple[tuple[int, ...], ...]
     refined_s2: tuple[tuple[int, ...], ...]
-    bijection: tuple[tuple[int, int], ...]
     ratio_min: float
     ratio_max: float
 
@@ -49,7 +49,7 @@ def _normalize(partition) -> list[tuple[int, ...]]:
     return blocks
 
 
-def match_partitions(s1, s2, c: float, strict: bool = True) -> PartitionMatching:
+def match_partitions(s1, s2, c: float) -> PartitionMatching:
     """Match partitions s1 and s2 with size-comparability constant c.
 
     Parameters
@@ -58,15 +58,12 @@ def match_partitions(s1, s2, c: float, strict: bool = True) -> PartitionMatching
         disjoint within each side.
     c : comparability constant in (0, 1]; matched pairs satisfy
         c/4 <= |f(J)|/|J| <= 4/c.
-    strict : when True, enforce the size preconditions
-        c <= N1/N2 <= 1/c and N1, N2 >= 8 m1 m2 / c up front; when False,
-        attempt the construction anyway and only fail if it breaks down.
 
     Raises
     ------
     SizePreconditionFailed
-        naming the violated inequality, or the construction step that became
-        infeasible in non-strict mode.
+        naming the construction step that became infeasible, or the
+        achieved ratios when they escape [c/4, 4/c].
     """
     if not (0 < c):
         raise ValueError("c must be positive")
@@ -74,18 +71,6 @@ def match_partitions(s1, s2, c: float, strict: bool = True) -> PartitionMatching
     blocks2 = _normalize(s2)
     n1 = sum(len(b) for b in blocks1)
     n2 = sum(len(b) for b in blocks2)
-    m1, m2 = len(blocks1), len(blocks2)
-    if strict:
-        if not (c <= n1 / n2 <= 1.0 / c):
-            raise SizePreconditionFailed(
-                f"c <= N1/N2 <= 1/c violated: c={c}, N1/N2={n1 / n2:.4g}"
-            )
-        bound = 8.0 * m1 * m2 / c
-        if n1 < bound or n2 < bound:
-            raise SizePreconditionFailed(
-                f"N1, N2 >= 8 m1 m2 / c violated: N1={n1}, N2={n2}, bound={bound:.4g}"
-            )
-
     if n1 >= n2:
         matching = _match_ordered(blocks1, blocks2, c)
     else:
@@ -93,7 +78,6 @@ def match_partitions(s1, s2, c: float, strict: bool = True) -> PartitionMatching
         matching = PartitionMatching(
             refined_s1=swapped.refined_s2,
             refined_s2=swapped.refined_s1,
-            bijection=swapped.bijection,
             ratio_min=1.0 / swapped.ratio_max,
             ratio_max=1.0 / swapped.ratio_min,
         )
@@ -194,7 +178,6 @@ def _match_ordered(blocks1, blocks2, c):
     return PartitionMatching(
         refined_s1=tuple(out1),
         refined_s2=tuple(out2),
-        bijection=tuple((i, i) for i in range(len(out1))),
         ratio_min=min(ratios),
         ratio_max=max(ratios),
     )
@@ -227,9 +210,6 @@ def verify_matching(matching: PartitionMatching, s1, s2, c: float) -> list[str]:
             f"refinement length {len(matching.refined_s1)} exceeds m1+m2 = "
             f"{len(blocks1) + len(blocks2)}"
         )
-    pairs = set(matching.bijection)
-    if pairs != {(i, i) for i in range(len(matching.refined_s1))}:
-        problems.append("bijection is not the positional pairing")
     for b1, b2 in zip(matching.refined_s1, matching.refined_s2):
         r = len(b2) / len(b1)
         if not (c / 4.0 - 1e-12 <= r <= 4.0 / c + 1e-12):

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 SEGMENT_KINDS = ("shrink", "fix", "hermitian", "concat-junction")
+# largest distance between the canonical endpoint eigenvalues FlowPath.concat joins
+MATCH_TOL = 1e-10
+# criticality residuals |tr |A|^-2 - 1| and |tr A^-2 A*^-1| validate_assumption accepts
+CRIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,41 +77,16 @@ class FlowPath:
     def final(self) -> DeformationSpectrum:
         return self.states[-1]
 
-    def audit(self, frak_c1: float, tol: float = 1e-8) -> None:
-        """Raise ResidualExceeded on any invariant violation.
-
-        Checks residual_crit <= tol, eigenvalue moduli within
-        [1/frak_c1, frak_c1] and residual_chi <= tol at every grid point.
-        """
-        failures = []
-        for idx, (s, rc, rx) in enumerate(
-            zip(self.states, self.residual_crit, self.residual_chi)
-        ):
-            if rc > tol:
-                failures.append(f"t={self.grid[idx]:.4f}: residual_crit {rc:.3e}")
-            if rx > tol:
-                failures.append(f"t={self.grid[idx]:.4f}: residual_chi {rx:.3e}")
-            moduli = s.moduli()
-            if moduli.size and (
-                moduli.max() > frak_c1 * (1 + 1e-12)
-                or moduli.min() < (1 - 1e-12) / frak_c1
-            ):
-                failures.append(
-                    f"t={self.grid[idx]:.4f}: moduli escape [1/{frak_c1}, {frak_c1}]"
-                )
-        if failures:
-            raise ResidualExceeded("; ".join(failures[:8]))
-
-    def concat(self, other: "FlowPath", match_tol: float = 1e-10) -> "FlowPath":
+    def concat(self, other: "FlowPath") -> "FlowPath":
         """Join two paths, rescaling times to halves of [0, 1].
 
-        Endpoint spectra must agree within ``match_tol`` on canonical form;
+        Endpoint spectra must agree within MATCH_TOL on canonical form;
         the junction becomes a zero-length interval tagged concat-junction.
         """
         a = self.final.canonical(merge_tol=0.0)
         b = other.initial.canonical(merge_tol=0.0)
         if a.n != b.n or a.eigenvalues.size != b.eigenvalues.size or (
-            np.max(np.abs(a.eigenvalues - b.eigenvalues)) > match_tol
+            np.max(np.abs(a.eigenvalues - b.eigenvalues)) > MATCH_TOL
             or np.any(a.multiplicities != b.multiplicities)
         ):
             raise ResidualExceeded("paths do not meet at the junction")
@@ -249,19 +228,17 @@ def validate_assumption(
     path_a: FlowPath,
     frak_c1: float,
     frak_c_small: float,
-    n: int | None = None,
-    crit_tol: float = 1e-8,
 ) -> AssumptionReport:
     """Check a lifted path against the deformation-path conditions.
 
-    Per grid point: operator norms within frak_c1 and criticality residuals
-    within crit_tol; alpha drift per unit time at most n^(-frak_c_small)
-    by finite differences; entrywise time derivative at most
-    frak_c1 * log(n).  Junction (zero-length) intervals are skipped in the
-    difference quotients.  Report-only: never raises.
+    With n the dimension of the path's states, per grid point: operator
+    norms within frak_c1 and criticality residuals within CRIT_TOL; alpha
+    drift per unit time at most n^(-frak_c_small) by finite differences;
+    entrywise time derivative at most frak_c1 * log(n).  Junction
+    (zero-length) intervals are skipped in the difference quotients.
+    Report-only: never raises.
     """
-    if n is None:
-        n = path_a.states[0].n
+    n = path_a.states[0].n
     failures = []
     alphas = []
     for idx, s in enumerate(path_a.states):
@@ -270,7 +247,7 @@ def validate_assumption(
         skew = s.moment(-2, -1)
         if norm_a > frak_c1 or norm_inv > frak_c1:
             failures.append(f"t={path_a.grid[idx]:.4f}: norms ({norm_a:.3g}, {norm_inv:.3g})")
-        if abs(inv2 - 1.0) > crit_tol or abs(skew) > crit_tol:
+        if abs(inv2 - 1.0) > CRIT_TOL or abs(skew) > CRIT_TOL:
             failures.append(
                 f"t={path_a.grid[idx]:.4f}: criticality residuals "
                 f"({abs(inv2 - 1.0):.2e}, {abs(skew):.2e})"

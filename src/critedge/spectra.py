@@ -8,7 +8,6 @@ deterministic counterpart from the Dyson module.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -34,7 +33,6 @@ __all__ = [
     "sample_matrix",
     "deformed_eigenvalues",
     "rescale",
-    "rescale_inverse",
     "hermitize",
     "estimate_statistic",
     "radial_bump",
@@ -169,10 +167,6 @@ def rescale(points, n: int, gamma: complex) -> np.ndarray:
     return np.asarray(points, dtype=complex) * (float(n) ** 0.25 * gamma)
 
 
-def rescale_inverse(points, n: int, gamma: complex) -> np.ndarray:
-    return np.asarray(points, dtype=complex) / (float(n) ** 0.25 * gamma)
-
-
 def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex = 0.0) -> HermitizedOperator:
     block = _as_sample(spec, x).copy()
     idx = np.arange(spec.n)
@@ -229,13 +223,11 @@ def estimate_statistic(
     test_function,
     trials: int,
     seed0: int = 0,
-    jobs: int = 1,
 ) -> CorrelationEstimate:
     """Monte Carlo estimate of E sum over distinct k-tuples of F(w_i1..wik).
 
     Eigenvalues are rescaled by N^(1/4) gamma(A) before evaluation.  Trial j
-    uses seed0 + j, so the estimate is reproducible and extendable; the
-    reduction is a plain mean regardless of scheduling.
+    uses seed0 + j, so the estimate is reproducible and extendable.
     """
     if isinstance(test_function, str):
         fn_id = test_function
@@ -245,14 +237,10 @@ def estimate_statistic(
     if k < 1:
         raise ConditionViolated([f"tuple order must be positive, got {k}"])
     gamma = scaling_gamma(spec)
-    seeds = [int(seed0) + j for j in range(int(trials))]
-    args = [(spec, model, k, test_function, gamma, s) for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(_statistic_one_trial, *zip(*args)))
-    else:
-        per_trial = [_statistic_one_trial(*a) for a in args]
-    per_trial = np.asarray(per_trial, dtype=float)
+    seeds = range(int(seed0), int(seed0) + int(trials))
+    per_trial = np.array(
+        [_statistic_one_trial(spec, model, k, test_function, gamma, s) for s in seeds]
+    )
     value = float(np.mean(per_trial))
     if trials > 1:
         std_error = float(np.std(per_trial, ddof=1) / np.sqrt(trials))
@@ -273,6 +261,17 @@ def estimate_statistic(
 # ---------------------------------------------------------------------------
 # Girko identity
 
+# integration half-width of a GaussianField, in units of sigma
+GIRKO_CUTOFF = 8.0
+# a Girko node this close to an eigenvalue counts as pinned to the spectrum
+GIRKO_SV_FLOOR = 1e-12
+# a pinned node moves by GIRKO_JITTER * (attempt + 1) * (1 + i), at most
+# GIRKO_RETRIES times
+GIRKO_JITTER = 1e-8
+GIRKO_RETRIES = 5
+# entries of the Hyman vectors above this are rescaled away, per node
+HYMAN_RESCALE = 1e100
+
 
 @dataclass(frozen=True)
 class GaussianField:
@@ -280,7 +279,6 @@ class GaussianField:
 
     center: complex = 0.0
     sigma: float = 0.5
-    cutoff: float = 8.0  # integration half-width in units of sigma
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
@@ -295,11 +293,7 @@ class GaussianField:
 
     @property
     def half_width(self) -> float:
-        return self.cutoff * self.sigma
-
-
-# entries of the Hyman vectors above this are rescaled away, per node
-HYMAN_RESCALE = 1e100
+        return GIRKO_CUTOFF * self.sigma
 
 
 def _hessenberg(a: np.ndarray) -> np.ndarray:
@@ -368,9 +362,6 @@ def girko_check(
     x: np.ndarray,
     f,
     quad_points: int = 128,
-    sv_floor: float = 1e-12,
-    jitter: float = 1e-8,
-    max_retries: int = 5,
 ) -> GirkoReport:
     """Both sides of the spectral-average identity for one sample.
 
@@ -384,9 +375,10 @@ def girko_check(
     every node (Higham, Accuracy and Stability of Numerical Algorithms,
     sec. 14.6), split into blocks at exactly zero subdiagonal entries; it
     never uses the eigenvalues, so lhs and rhs stay independent routes.
-    A node whose log|det| is not finite, or that lies within sv_floor of
-    an eigenvalue of the lhs, moves by jitter * (attempt + 1) * (1 + i);
-    a node still pinned after max_retries moves raises QuadratureUnstable.
+    A node whose log|det| is not finite, or that lies within GIRKO_SV_FLOOR
+    of an eigenvalue of the lhs, moves by GIRKO_JITTER * (attempt + 1) *
+    (1 + i); a node still pinned after GIRKO_RETRIES moves raises
+    QuadratureUnstable.  The grid spans GIRKO_CUTOFF field widths.
     """
     x = np.asarray(x, dtype=complex)
     eigs = deformed_eigenvalues(spec, x)
@@ -407,17 +399,18 @@ def girko_check(
     logdet = np.empty(z.size)
     todo = np.arange(z.size)
     jittered = 0
-    for attempt in range(max_retries + 1):
+    for attempt in range(GIRKO_RETRIES + 1):
         logdet[todo] = _hyman_log_abs_det(h, z[todo])
-        todo = todo[~np.isfinite(logdet[todo]) | _near_spectrum(z[todo], eigs, sv_floor)]
+        pinned = _near_spectrum(z[todo], eigs, GIRKO_SV_FLOOR)
+        todo = todo[~np.isfinite(logdet[todo]) | pinned]
         if todo.size == 0:
             break
         jittered += todo.size
-        z[todo] += jitter * (attempt + 1) * (1.0 + 1.0j)
+        z[todo] += GIRKO_JITTER * (attempt + 1) * (1.0 + 1.0j)
     else:
         raise QuadratureUnstable(
             f"quadrature node {z[todo[0]]} pinned to the spectrum after "
-            f"{max_retries} jitters"
+            f"{GIRKO_RETRIES} jitters"
         )
     total = np.sum(w2 * f.laplacian(z) * 2.0 * logdet)
     rhs = float(total / (4.0 * np.pi * spec.n))

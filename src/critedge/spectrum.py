@@ -11,14 +11,16 @@ ambient dimension enters only through the weights and through scaling laws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroEigenvalue
 
 __all__ = ["DeformationSpectrum", "weighted_moment"]
+
+# a spectrum is real when its imaginary parts are at most REAL_TOL * max(1, |A|)
+REAL_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -60,15 +62,11 @@ class DeformationSpectrum:
         Positive integers, same length as ``eigenvalues``, summing to ``n``.
     n:
         Ambient matrix dimension.
-    basis_id:
-        Optional label of the diagonalising basis.  Purely bookkeeping; trace
-        functionals do not depend on it.
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     n: int
-    basis_id: str | None = field(default=None)
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.eigenvalues, dtype=complex).reshape(-1)
@@ -91,26 +89,6 @@ class DeformationSpectrum:
         object.__setattr__(self, "eigenvalues", _readonly(ev))
         object.__setattr__(self, "multiplicities", _readonly(mult))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_values(
-        cls,
-        values: Iterable[complex],
-        multiplicities: Iterable[int] | None = None,
-        n: int | None = None,
-        basis_id: str | None = None,
-    ) -> "DeformationSpectrum":
-        """Build a spectrum, defaulting every multiplicity to one."""
-        ev = np.asarray(list(values), dtype=complex)
-        if multiplicities is None:
-            mult = np.ones(ev.size, dtype=np.int64)
-        else:
-            mult = np.asarray(list(multiplicities), dtype=np.int64)
-        if n is None:
-            n = int(mult.sum())
-        return cls(ev, mult, n, basis_id)
-
     # -- serialisation ------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -118,7 +96,6 @@ class DeformationSpectrum:
             "n": int(self.n),
             "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
             "multiplicities": [int(m) for m in self.multiplicities],
-            **({"basis_id": self.basis_id} if self.basis_id is not None else {}),
         }
 
     @classmethod
@@ -129,7 +106,7 @@ class DeformationSpectrum:
             mult = np.asarray(data["multiplicities"], dtype=np.int64)
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"malformed spectrum record: {exc}") from exc
-        return cls(ev, mult, n, data.get("basis_id"))
+        return cls(ev, mult, n)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -155,9 +132,9 @@ class DeformationSpectrum:
     def moduli(self) -> np.ndarray:
         return np.abs(self.eigenvalues)
 
-    def require_invertible(self, tol: float = 0.0) -> None:
+    def require_invertible(self) -> None:
         m = self.moduli()
-        if np.any(m <= tol):
+        if np.any(m == 0.0):
             raise ZeroEigenvalue(
                 f"smallest eigenvalue modulus {m.min():.3e} is not invertible"
             )
@@ -169,16 +146,15 @@ class DeformationSpectrum:
             raise ZeroEigenvalue("zero eigenvalue has no inverse norm")
         return float(m.max()), float(1.0 / m.min())
 
+    def is_real(self) -> bool:
+        """Whether every imaginary part is within REAL_TOL of the scale."""
+        scale = max(1.0, float(np.max(self.moduli())))
+        return float(np.max(np.abs(self.eigenvalues.imag))) <= REAL_TOL * scale
+
     # -- elementary transforms ----------------------------------------
 
-    def scaled(self, s: complex) -> "DeformationSpectrum":
-        return DeformationSpectrum(self.eigenvalues * s, self.multiplicities, self.n, self.basis_id)
-
-    def rotated(self, phase: float) -> "DeformationSpectrum":
-        return self.scaled(np.exp(1j * phase))
-
     def with_eigenvalues(self, ev: np.ndarray) -> "DeformationSpectrum":
-        return DeformationSpectrum(ev, self.multiplicities, self.n, self.basis_id)
+        return DeformationSpectrum(ev, self.multiplicities, self.n)
 
     def canonical(self, merge_tol: float = 0.0) -> "DeformationSpectrum":
         """Sort lexicographically and merge duplicate eigenvalues.
@@ -197,11 +173,8 @@ class DeformationSpectrum:
         exact = np.logical_and.reduceat(ev == np.repeat(first, lengths), starts)
         mean = np.add.reduceat(ev * mult, starts) / counts
         return DeformationSpectrum(
-            np.where(exact, first, mean), counts, self.n, self.basis_id
+            np.where(exact, first, mean), counts, self.n
         )
-
-    def support_size(self, merge_tol: float = 1e-9) -> int:
-        return self.canonical(merge_tol=merge_tol).eigenvalues.size
 
     def expand(self) -> np.ndarray:
         """Eigenvalues repeated according to multiplicity (length n)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from critedge import spectra
 from critedge.dyson import solve_v_scalar
 from critedge.spectra import hermitize, sample_matrix
 from critedge.spectrum import DeformationSpectrum
@@ -106,7 +107,7 @@ def girko_svd_oracle():
     (rhs, jittered_nodes).
     """
 
-    def rhs(spec: DeformationSpectrum, x, f, quad_points, sv_floor=1e-12, jitter=1e-8):
+    def rhs(spec: DeformationSpectrum, x, f, quad_points):
         nodes, weights = np.polynomial.legendre.leggauss(quad_points)
         half = f.half_width
         base = np.asarray(x, dtype=complex) + np.diag(spec.expand())
@@ -114,12 +115,12 @@ def girko_svd_oracle():
         for i in range(quad_points):
             for j in range(quad_points):
                 z = complex(f.center.real + half * nodes[i], f.center.imag + half * nodes[j])
-                for attempt in range(6):
+                for attempt in range(spectra.GIRKO_RETRIES + 1):
                     svs = np.linalg.svd(base - z * np.eye(spec.n), compute_uv=False)
-                    if svs[-1] > sv_floor:
+                    if svs[-1] > spectra.GIRKO_SV_FLOOR:
                         break
                     jittered += 1
-                    z += jitter * (attempt + 1) * (1.0 + 1.0j)
+                    z += spectra.GIRKO_JITTER * (attempt + 1) * (1.0 + 1.0j)
                 logdet = 2.0 * float(np.sum(np.log(svs)))
                 total += weights[i] * weights[j] * half * half * float(f.laplacian(z)) * logdet
         return total / (4.0 * np.pi * spec.n), jittered

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, config plumbing, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -267,10 +268,27 @@ def test_config_range_validation(pm_file, capsys):
 def test_runconfig_serialize_roundtrip(tmp_path):
     cfg = cli.RunConfig(trials=9, seed=4, model="iid-custom")
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(cfg.serialize())
+    cfg_file.write_text(json.dumps(dataclasses.asdict(cfg)))
     back = cli.RunConfig.parse(str(cfg_file), {})
     assert back == cfg
-    assert back.serialize() == cfg.serialize()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "SPEC", "--grid", "65"],
+        ["flow", "SPEC", "--trials", "3"],
+        ["simulate", "SPEC", "--frak-c", "6"],
+        ["compare", "SPEC", "SPEC", "--seed", "1"],
+    ],
+    ids=["analyze-grid", "flow-trials", "simulate-frak-c", "compare-seed"],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(pm_file, argv, capsys):
+    argv = [pm_file if a == "SPEC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_runconfig_rejects_bad_values():

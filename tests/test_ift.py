@@ -8,17 +8,19 @@ from critedge.errors import ContractionFailed, RadiusExceeded
 from critedge.flow import IftProblem, quantitative_ift
 
 
-def cubic_problem(eps, h_x=1.0, h_y=1.0, analytic=False):
+def cubic_problem(eps, h_x=1.0, h_y=1.0, analytic_x=False):
     # F(x, y) = y + eps y^3 - x; F_y(0,0) = 1 so c1 = 1 and the sampled
     # contraction bound is 3 eps h_y^2.
     def residual(x, y):
         return np.array([y[0] + eps * y[0] ** 3 - x[0]])
 
-    kw = {}
-    if analytic:
-        kw["d_y"] = lambda x, y: np.array([[1.0 + 3.0 * eps * y[0] ** 2]])
-        kw["d_x"] = lambda x, y: np.array([[-1.0]])
-    return IftProblem(residual=residual, h_x=h_x, h_y=h_y, dim_x=1, dim_y=1, **kw)
+    def d_y(x, y):
+        return np.array([[1.0 + 3.0 * eps * y[0] ** 2]])
+
+    d_x = (lambda x, y: np.array([[-1.0]])) if analytic_x else None
+    return IftProblem(
+        residual=residual, h_x=h_x, h_y=h_y, dim_x=1, dim_y=1, d_y=d_y, d_x=d_x
+    )
 
 
 def cubic_root(eps, x):
@@ -59,12 +61,14 @@ def test_contraction_failed_for_strong_nonlinearity():
 
 def test_analytic_and_fd_jacobians_agree():
     eps, x = 0.08, 0.25
-    a = quantitative_ift(cubic_problem(eps, analytic=True), x, tol=1e-13)
-    b = quantitative_ift(cubic_problem(eps, analytic=False), x, tol=1e-13)
+    # d_x enters through the control-derivative bound c2 = sup ||D_x F||
+    a = quantitative_ift(cubic_problem(eps, analytic_x=True), x, tol=1e-13)
+    b = quantitative_ift(cubic_problem(eps, analytic_x=False), x, tol=1e-13)
     assert abs(a.y[0] - b.y[0]) < 1e-11
-    assert a.certificate.c1 == b.certificate.c1 == 1.0
-    assert a.certificate.contraction_max == pytest.approx(
-        b.certificate.contraction_max, rel=1e-5
+    assert a.certificate.c2 == 1.0
+    assert b.certificate.c2 == pytest.approx(1.0, rel=1e-6)
+    assert a.certificate.h_x_certified == pytest.approx(
+        b.certificate.h_x_certified, rel=1e-6
     )
 
 
@@ -88,7 +92,10 @@ def test_planar_system_against_minpack():
     def residual(x, y):
         return m @ y + 0.05 * y * (y @ y) - x
 
-    problem = IftProblem(residual=residual, h_x=0.5, h_y=1.0, dim_x=2, dim_y=2)
+    def d_y(x, y):
+        return m + 0.05 * ((y @ y) * np.eye(2) + 2.0 * np.outer(y, y))
+
+    problem = IftProblem(residual=residual, h_x=0.5, h_y=1.0, dim_x=2, dim_y=2, d_y=d_y)
     x = np.array([0.2, -0.15])
     sol = quantitative_ift(problem, x, tol=1e-12)
     oracle = scipy.optimize.root(lambda y: residual(x, y), np.zeros(2), tol=1e-13)

@@ -1,4 +1,7 @@
-"""The runtime needs numpy and the standard library only; scipy is a test oracle."""
+"""The runtime needs numpy and the standard library only; scipy is a test oracle.
+
+The runtime also runs in one process: no source file imports a process pool.
+"""
 
 import ast
 from pathlib import Path
@@ -19,16 +22,24 @@ def imported_modules(path: Path):
             yield node.module
 
 
-def test_no_source_file_imports_scipy():
+def offending_imports(roots) -> list[str]:
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
-    offenders = [
+    return [
         f"{path.relative_to(SRC)}: {module}"
         for path in files
         for module in imported_modules(path)
-        if module.split(".")[0] == "scipy"
+        if module.split(".")[0] in roots
     ]
-    assert offenders == []
+
+
+def test_no_source_file_imports_scipy():
+    assert offending_imports({"scipy"}) == []
+
+
+def test_no_source_file_starts_worker_processes():
+    # every run is one process: no pool, no fork
+    assert offending_imports({"concurrent", "multiprocessing"}) == []
 
 
 def test_numpy_is_the_only_runtime_dependency():

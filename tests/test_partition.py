@@ -37,7 +37,7 @@ def test_identity_partitions():
 def test_small_handcrafted_non_strict():
     s1 = [list(range(0, 12)), list(range(12, 20))]
     s2 = [list(range(0, 9)), list(range(9, 20))]
-    matching = match_partitions(s1, s2, c=0.5, strict=False)
+    matching = match_partitions(s1, s2, c=0.5)
     assert verify_matching(matching, s1, s2, 0.5) == []
 
 
@@ -46,7 +46,7 @@ def test_non_strict_still_fails_when_all_blocks_small():
     s1 = [[0, 1, 2], [3, 4, 5]]
     s2 = [[0, 1, 2, 3], [4, 5]]
     with pytest.raises(SizePreconditionFailed, match="cutoff"):
-        match_partitions(s1, s2, c=0.5, strict=False)
+        match_partitions(s1, s2, c=0.5)
 
 
 def test_refinement_length_bound():
@@ -94,26 +94,11 @@ def test_random_instances_pass_audit(seed, m1, m2, stretch):
     assert c / 4 - 1e-12 <= matching.ratio_min <= matching.ratio_max <= 4 / c + 1e-12
 
 
-def test_size_precondition_small_n():
-    s1 = [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
-    s2 = [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    with pytest.raises(SizePreconditionFailed, match="8 m1 m2"):
-        match_partitions(s1, s2, c=0.2)
-
-
-def test_size_precondition_ratio():
-    rng = np.random.default_rng(0)
-    s1 = interval_partition(400, 1, rng)
-    s2 = interval_partition(4000, 1, rng)
-    with pytest.raises(SizePreconditionFailed, match="N1/N2"):
-        match_partitions(s1, s2, c=0.2)
-
-
 def test_overlapping_blocks_rejected():
     with pytest.raises(ValueError, match="overlap"):
-        match_partitions([[0, 1], [1, 2]], [[0, 1, 2]], c=0.5, strict=False)
+        match_partitions([[0, 1], [1, 2]], [[0, 1, 2]], c=0.5)
 
 
 def test_empty_block_rejected():
     with pytest.raises(ValueError, match="empty"):
-        match_partitions([[0, 1], []], [[0, 1]], c=0.5, strict=False)
+        match_partitions([[0, 1], []], [[0, 1]], c=0.5)
