@@ -26,7 +26,6 @@ from .flow import (
     finite_support_flow,
     fix_spectrum_flow,
     hermitian_flow,
-    independent_count_target,
     lift_to_deformation,
     validate_assumption,
 )
@@ -183,8 +182,7 @@ def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
         path_b = hermitian_flow(b0, frak_c=cfg.frak_c, grid_points=cfg.grid)
     else:
         leg1 = finite_support_flow(b0, frak_c=cfg.frak_c, cfg=flow_cfg)
-        target = independent_count_target(leg1.final)
-        leg2 = fix_spectrum_flow(leg1.final, target, cfg=flow_cfg)
+        leg2 = fix_spectrum_flow(leg1.final, cfg=flow_cfg)
         path_b = leg1.concat(leg2)
     path_a = lift_to_deformation(path_b, phi)
     if cfg.out is not None:
@@ -431,11 +429,31 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.parse(args.config, flag_values)
 
 
+# what `flow` reads only when it builds a path: --check re-validates a path
+# file and refuses these; the build refuses --frak-c1
+_FLOW_BUILD_ONLY = ("spectrum", "grid", "tol", "h0", "out", "report")
+
+
+def _flow_mode_error(args: argparse.Namespace) -> str | None:
+    if args.check is not None:
+        unread = [
+            name if name == "spectrum" else "--" + name.replace("_", "-")
+            for name in _FLOW_BUILD_ONLY
+            if getattr(args, name) is not None
+        ]
+        return "flow --check does not read " + ", ".join(unread) if unread else None
+    if args.spectrum is None:
+        return "flow requires a spectrum file unless --check is given"
+    if args.frak_c1 is not None:
+        return "flow without --check does not read --frak-c1"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "flow" and args.check is None and args.spectrum is None:
-        parser.error("flow requires a spectrum file unless --check is given")
+    if args.command == "flow" and (message := _flow_mode_error(args)):
+        parser.error(message)
     try:
         cfg = _config_from_args(args)
         return args.func(args, cfg)

@@ -9,10 +9,13 @@ what moves and which two traces are held:
   straight lines, the two cluster shifts holding both pair traces;
   :func:`finite_support_flow` runs it on every matched pair of a box mesh
   and collapses a critical diagonal matrix onto at most M support points;
-* :func:`fix_spectrum_flow` moves one finite-support spectrum onto a nearby
-  target exactly, two heavy anchors absorbing the repair
+* :func:`fix_spectrum_flow` moves one finite-support spectrum exactly onto
+  its count target, two heavy anchors absorbing the repair
   f_{chi,p}(z1 + w1, z2 + w2) + q = 0 while chi interpolates linearly;
-  :func:`independent_count_target` solves the same repair once, without t;
+  the target, :func:`independent_count_target`, is built from the
+  spectrum's own sites (folded, snapped, the same repair solved once
+  without t), so every site is paired with the one it came from by
+  construction;
 * :func:`hermitian_flow` handles the real (chi = 1) case in closed form.
 
 Every builder passes the one precondition gate and returns its samples
@@ -72,8 +75,8 @@ __all__ = [
     "hermitian_flow",
 ]
 
-# largest entrywise move between the aligned endpoints of fix_spectrum_flow,
-# and largest count change as a fraction of N
+# largest move of a paired site in fix_spectrum_flow, and largest count
+# change as a fraction of N
 DELTA_TV = 0.2
 # how far the stepped end shift of fix_spectrum_flow may miss the target
 ENDPOINT_TOL = 1e-8
@@ -474,83 +477,6 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
 # ------------------------------------------------------------------ fix flow
 
 
-def _assign(cost: np.ndarray) -> np.ndarray:
-    """Least-cost assignment of the rows of a square cost matrix to columns.
-
-    Shortest augmenting paths with dual potentials (Jonker & Volgenant,
-    Computing 38, 1987): each row joins through a Dijkstra search on the
-    reduced costs, which the potentials keep non-negative, and the path
-    found is flipped.  Index 0 is a virtual column holding the joining
-    row.  Returns ``col`` with row i assigned to column ``col[i]``.
-    """
-    n = cost.shape[0]
-    a = np.zeros((n + 1, n + 1))
-    a[1:, 1:] = cost
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    row = np.zeros(n + 1, dtype=int)  # row on each column, 0 while free
-    way = np.zeros(n + 1, dtype=int)  # previous column on the shortest path
-    for i in range(1, n + 1):
-        row[0] = i
-        j0 = 0
-        dist = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while row[j0]:
-            used[j0] = True
-            i0 = row[j0]
-            reduced = a[i0] - u[i0] - v
-            closer = ~used & (reduced < dist)
-            dist[closer] = reduced[closer]
-            way[closer] = j0
-            j1 = int(np.argmin(np.where(used, np.inf, dist)))
-            delta = dist[j1]
-            u[row[used]] += delta
-            v[used] -= delta
-            dist[~used] -= delta
-            j0 = j1
-        while j0:
-            row[j0] = row[way[j0]]
-            j0 = way[j0]
-    col = np.empty(n, dtype=int)
-    col[row[1:] - 1] = np.arange(n)
-    return col
-
-
-def _align_supports(b0, b1, tol):
-    """Common-index the two supports, padding either side with zero counts.
-
-    Pairing minimises total matched distance plus a mass-weighted penalty
-    for leaving a site unmatched, so a heavy shifted block keeps its
-    partner even when a light site happens to sit closer.  An unmatched
-    site keeps its value on both sides and its whole count travels as
-    deficit mass.
-    """
-    s0 = b0.canonical(0.0)
-    s1 = b1.canonical(0.0)
-    z0, m0 = s0.eigenvalues, s0.multiplicities
-    z1, m1 = s1.eigenvalues, s1.multiplicities
-    l0, l1 = z0.size, z1.size
-    big = 1e9
-    cost = np.full((l0 + l1, l1 + l0), big)
-    d = np.abs(z0[:, None] - z1[None, :])
-    cost[:l0, :l1] = np.where(d <= tol, d, big)
-    cost[np.arange(l0), l1 + np.arange(l0)] = tol * (1.0 + m0 / b0.n)
-    cost[l0 + np.arange(l1), np.arange(l1)] = tol * (1.0 + m1 / b1.n)
-    cost[l0:, l1:] = 0.0
-    cols = _assign(cost)[:l0]
-    match = {i: int(j) for i, j in enumerate(cols) if j < l1 and d[i, j] <= tol}
-    partner = np.array([match.get(i, -1) for i in range(l0)], dtype=int)
-    paired = partner >= 0
-    lone = np.ones(l1, dtype=bool)
-    lone[list(match.values())] = False
-    return (
-        np.concatenate([z0, z1[lone]]),
-        np.concatenate([np.where(paired, z1[partner], z0), z1[lone]]),
-        np.concatenate([m0, np.zeros(lone.sum())]).astype(float),
-        np.concatenate([np.where(paired, m1[partner], 0), m1[lone]]).astype(float),
-    )
-
-
 def _anchor_pair(re: np.ndarray, counts: np.ndarray):
     """The two heavy anchors of a repair and the sites left over.
 
@@ -571,12 +497,95 @@ def _anchor_pair(re: np.ndarray, counts: np.ndarray):
     return i1, i2, counts[i1] / mass12, mass12, np.flatnonzero(live)
 
 
-def fix_spectrum_flow(
-    b0: DeformationSpectrum, b1: DeformationSpectrum, cfg: FlowConfig | None = None
-) -> FlowPath:
-    """Deform one finite-support spectrum exactly onto a nearby one.
+def _count_target_sites(b: DeformationSpectrum):
+    """b's sites paired with those of its count target, by construction.
 
-    Supports are aligned by value; two heavy blocks with separated real
+    Returns (z0, z1, n0, n1): site k sits at z0[k] with count n0[k] in b
+    and at z1[k] with count n1[k] in the target.  The first entries are
+    b's canonical sites.  Sites with fewer than half a quantum
+    n/COUNT_DENOMINATOR of count fold into their nearest neighbour; the
+    counts then snap to multiples of the quantum, and sites that snap to
+    zero keep their value with target count 0.  The two heaviest
+    surviving blocks with separated real parts absorb the value
+    correction that restores tr B^2 B* = 0 and the chi of b exactly.  A
+    site the correction moves by more than DELTA_TV leaves from its old
+    value with target count 0 and arrives as a new site of count 0 in b.
+    """
+    n = b.n
+    spec = b.canonical(0.0)
+    z0 = spec.eigenvalues
+    q = n / COUNT_DENOMINATOR
+    sites = list(range(z0.size))
+    cnts = [int(m) for m in spec.multiplicities]
+    # fold sub-quantum sites into their nearest neighbour first, so the
+    # snap moves mass locally and the critical repair stays small
+    while len(sites) > 2:
+        k = min(range(len(sites)), key=lambda i: (cnts[i], i))
+        if cnts[k] >= 0.5 * q:
+            break
+        dist = [abs(z0[s] - z0[sites[k]]) if j != k else np.inf for j, s in enumerate(sites)]
+        j = int(np.argmin(dist))
+        cnts[j] += cnts[k]
+        del sites[k], cnts[k]
+    raw = np.array(cnts) / q
+    snapped = np.round(raw)
+    # largest-remainder rebalance to keep the total at COUNT_DENOMINATOR units
+    excess = int(round(snapped.sum() - COUNT_DENOMINATOR))
+    residue = raw - snapped
+    while excess > 0:
+        cand = np.where(snapped > 0, residue, np.inf)
+        i = int(np.argmin(cand))
+        snapped[i] -= 1
+        residue[i] += 1
+        excess -= 1
+    while excess < 0:
+        i = int(np.argmax(residue))
+        snapped[i] += 1
+        residue[i] -= 1
+        excess += 1
+    counts = np.rint(snapped * q).astype(np.int64)
+    if int(counts.sum()) != n:
+        # q non-integer: park the leftover on the largest block
+        counts[int(np.argmax(counts))] += n - int(counts.sum())
+
+    keep = counts > 0
+    sites = np.array(sites)[keep]
+    z = z0[sites]
+    counts = counts[keep]
+
+    chi_val = chi_of(b)[0]
+    i1, i2, p, mass12, rest = _anchor_pair(z.real[None, :], counts)
+    q = cluster_traces(z[rest], counts[rest], chi_val, mass12)
+    y, nrm, ok = newton(
+        lambda w: anchor_residual(w, z[i1], z[i2], chi_val, p, q),
+        lambda w: anchor_jacobian(w, z[i1], z[i2], chi_val, p),
+        np.zeros(4),
+    )
+    if not ok:
+        raise NoConvergence(f"target repair stalled at ||F|| = {nrm:.3e}")
+    w1, w2 = unrealify(y)
+    z[i1] += w1
+    z[i2] += w2
+
+    z1 = z0.copy()
+    n1 = np.zeros(z0.size)
+    z1[sites] = z
+    n1[sites] = counts
+    far = np.abs(z1 - z0) > DELTA_TV
+    return (
+        np.concatenate([z0, z1[far]]),
+        np.concatenate([np.where(far, z0, z1), z1[far]]),
+        np.concatenate([spec.multiplicities, np.zeros(far.sum())]),
+        np.concatenate([np.where(far, 0.0, n1), n1[far]]),
+    )
+
+
+def fix_spectrum_flow(b0: DeformationSpectrum, cfg: FlowConfig | None = None) -> FlowPath:
+    """Deform one finite-support spectrum exactly onto its count target.
+
+    The target is :func:`independent_count_target` of b0, and the sites of
+    the two are paired where the target is built from b0's sites
+    (:func:`_count_target_sites`).  Two heavy blocks with separated real
     parts absorb the correction solved by the implicit function theorem,
     the other blocks interpolate linearly, and the count imbalance travels
     as polar-interpolated rank-one pieces.  chi moves linearly from
@@ -584,14 +593,9 @@ def fix_spectrum_flow(
     with 5 % room, that admits both endpoints.
     """
     cfg = cfg or FlowConfig()
-    if b0.n != b1.n:
-        raise ConditionViolated(["spectra must share dimension"])
     n = b0.n
-    z0, z1, n0, n1 = _align_supports(b0, b1, DELTA_TV)
-    if float(np.max(np.abs(z0 - z1))) > DELTA_TV:
-        raise DeltaTvExceeded(
-            f"max |z0 - z1| = {np.max(np.abs(z0 - z1)):.4g} exceeds {DELTA_TV}"
-        )
+    z0, z1, n0, n1 = _count_target_sites(b0)
+    b1 = DeformationSpectrum(z1[n1 > 0], n1[n1 > 0], n)
     if float(np.max(np.abs(n0 - n1))) > DELTA_TV * n:
         raise DeltaTvExceeded(
             f"max |n0 - n1| = {np.max(np.abs(n0 - n1)):.0f} exceeds "
@@ -699,69 +703,10 @@ def fix_spectrum_flow(
 
 def independent_count_target(b: DeformationSpectrum) -> DeformationSpectrum:
     """Nearest critical spectrum whose count fractions are multiples of
-    1/COUNT_DENOMINATOR.
-
-    Counts snap to the dimension-independent fraction grid; sites that snap
-    to zero are dropped.  The two heaviest surviving blocks with separated
-    real parts absorb the value correction that restores tr B^2 B* = 0 and
-    the chi of b exactly.
+    1/COUNT_DENOMINATOR: the target sites of :func:`_count_target_sites`.
     """
-    n = b.n
-    spec = b.canonical(0.0)
-    q = n / COUNT_DENOMINATOR
-    vals = list(spec.eigenvalues)
-    cnts = [int(m) for m in spec.multiplicities]
-    # fold sub-quantum sites into their nearest neighbour first, so the
-    # snap moves mass locally and the critical repair stays small
-    while len(vals) > 2:
-        k = min(range(len(vals)), key=lambda i: (cnts[i], i))
-        if cnts[k] >= 0.5 * q:
-            break
-        dist = [abs(vals[j] - vals[k]) if j != k else np.inf for j in range(len(vals))]
-        j = int(np.argmin(dist))
-        cnts[j] += cnts[k]
-        del vals[k], cnts[k]
-    spec = DeformationSpectrum(np.array(vals), np.array(cnts), n)
-    spec = spec.canonical(0.0)
-    raw = spec.multiplicities / q
-    snapped = np.round(raw)
-    # largest-remainder rebalance to keep the total at COUNT_DENOMINATOR units
-    excess = int(round(snapped.sum() - COUNT_DENOMINATOR))
-    residue = raw - snapped
-    while excess > 0:
-        cand = np.where(snapped > 0, residue, np.inf)
-        i = int(np.argmin(cand))
-        snapped[i] -= 1
-        residue[i] += 1
-        excess -= 1
-    while excess < 0:
-        i = int(np.argmax(residue))
-        snapped[i] += 1
-        residue[i] -= 1
-        excess += 1
-    counts = np.rint(snapped * q).astype(np.int64)
-    if int(counts.sum()) != n:
-        # q non-integer: park the leftover on the largest block
-        counts[int(np.argmax(counts))] += n - int(counts.sum())
-
-    keep = counts > 0
-    z = spec.eigenvalues[keep].copy()
-    counts = counts[keep]
-
-    chi_val = chi_of(b)[0]
-    i1, i2, p, mass12, rest = _anchor_pair(z.real[None, :], counts)
-    q = cluster_traces(z[rest], counts[rest], chi_val, mass12)
-    y, nrm, ok = newton(
-        lambda w: anchor_residual(w, z[i1], z[i2], chi_val, p, q),
-        lambda w: anchor_jacobian(w, z[i1], z[i2], chi_val, p),
-        np.zeros(4),
-    )
-    if not ok:
-        raise NoConvergence(f"target repair stalled at ||F|| = {nrm:.3e}")
-    w1, w2 = unrealify(y)
-    z[i1] += w1
-    z[i2] += w2
-    return DeformationSpectrum(z, counts, n)
+    _, z1, _, n1 = _count_target_sites(b)
+    return DeformationSpectrum(z1[n1 > 0], n1[n1 > 0], b.n)
 
 
 # -------------------------------------------------------------- hermitian

@@ -274,21 +274,31 @@ def test_runconfig_serialize_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["analyze", "SPEC", "--grid", "65"],
-        ["flow", "SPEC", "--trials", "3"],
-        ["simulate", "SPEC", "--frak-c", "6"],
-        ["compare", "SPEC", "SPEC", "--seed", "1"],
+        (["analyze", "SPEC", "--grid", "65"], "unrecognized arguments"),
+        (["flow", "SPEC", "--trials", "3"], "unrecognized arguments"),
+        (["simulate", "SPEC", "--frak-c", "6"], "unrecognized arguments"),
+        (["compare", "SPEC", "SPEC", "--seed", "1"], "unrecognized arguments"),
+        (
+            ["flow", "--check", "PATH", "--grid", "65", "--tol", "1e-3", "--h0", "5",
+             "--out", "OUT", "--report", "REPORT"],
+            "flow --check does not read --grid, --tol, --h0, --out, --report",
+        ),
+        (["flow", "SPEC", "--check", "PATH"], "flow --check does not read spectrum"),
+        (["flow", "SPEC", "--frak-c1", "0.5"], "flow without --check does not read --frak-c1"),
     ],
-    ids=["analyze-grid", "flow-trials", "simulate-frak-c", "compare-seed"],
+    ids=["analyze-grid", "flow-trials", "simulate-frak-c", "compare-seed",
+         "flow-check-build-flags", "flow-check-spectrum", "flow-build-frak-c1"],
 )
-def test_flag_the_subcommand_does_not_read_exits_2(pm_file, argv, capsys):
-    argv = [pm_file if a == "SPEC" else a for a in argv]
+def test_flag_the_subcommand_does_not_read_exits_2(pm_file, tmp_path, argv, message, capsys):
+    names = {"SPEC": pm_file, "PATH": str(tmp_path / "p.jsonl"),
+             "OUT": str(tmp_path / "x.json"), "REPORT": str(tmp_path / "y.json")}
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main([names.get(a, a) for a in argv])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not any((tmp_path / f).exists() for f in ("x.json", "y.json"))
 
 
 def test_runconfig_rejects_bad_values():

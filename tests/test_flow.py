@@ -5,8 +5,6 @@ import json
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given
-from hypothesis import strategies as st
 
 from critedge.criticality import chi as chi_of
 from critedge.errors import (
@@ -28,7 +26,7 @@ from critedge.flow import (
     shrink_clusters,
     validate_assumption,
 )
-from critedge.flow.construct import _assign
+from critedge.flow.construct import DELTA_TV, _count_target_sites
 from critedge.flow.continuation import continue_anchored
 from critedge.flow.ift import CONTRACTION_SLACK
 from critedge.flow.maps import realify, weighted_pair_trace
@@ -180,15 +178,18 @@ def test_independent_count_target_snaps_and_stays_critical():
     assert abs(chi_of(target)[0] - chi_of(b0)[0]) < 0.05
 
 
+def assert_ends_on_count_target(path, b0):
+    end = path.final.canonical(0.0)
+    want = independent_count_target(b0).canonical(0.0)
+    assert np.array_equal(end.eigenvalues, want.eigenvalues)
+    assert np.array_equal(end.multiplicities, want.multiplicities)
+
+
 def test_fix_spectrum_flow_hits_target_exactly_with_linear_chi():
     b = random_inverse_critical(11, n=400)
     b0 = finite_support_flow(b, 6.0).final
-    target = independent_count_target(b0)
-    path = fix_spectrum_flow(b0, target)
-    end = path.final.canonical(0.0)
-    want = target.canonical(0.0)
-    assert np.array_equal(end.eigenvalues, want.eigenvalues)
-    assert np.array_equal(end.multiplicities, want.multiplicities)
+    path = fix_spectrum_flow(b0)
+    assert_ends_on_count_target(path, b0)
     assert max(path.residual_crit) < 1e-8
     # chi(B_t) interpolates the endpoint values linearly in t
     c_start, c_end = chi_of(path.initial)[0], chi_of(path.final)[0]
@@ -207,9 +208,8 @@ def test_fix_spectrum_flow_certificates_do_not_depend_on_the_grid():
     # cap its depth nor change its segments
     b = random_inverse_critical(0, n=80)
     b0 = finite_support_flow(b, 6.0, FlowConfig(grid_points=65)).final
-    target = independent_count_target(b0)
-    coarse = fix_spectrum_flow(b0, target, FlowConfig(grid_points=9))
-    fine = fix_spectrum_flow(b0, target, FlowConfig(grid_points=257))
+    coarse = fix_spectrum_flow(b0, FlowConfig(grid_points=9))
+    fine = fix_spectrum_flow(b0, FlowConfig(grid_points=257))
 
     def segments(path):
         return [(c["t0"], c["t1"]) for c in path.meta["certificates"]]
@@ -218,39 +218,41 @@ def test_fix_spectrum_flow_certificates_do_not_depend_on_the_grid():
     assert len(segments(coarse)) > 1
 
 
-def test_fix_spectrum_flow_dimension_mismatch():
-    b0 = random_inverse_critical(1, n=400)
-    b1 = random_inverse_critical(1, n=200)
-    with pytest.raises(ConditionViolated):
-        fix_spectrum_flow(b0, b1)
+def test_fix_leg_keeps_a_repaired_site_paired_with_itself():
+    # the repair moves a 73-unit anchor (snapped to 70) next to a 2-unit
+    # site; pairing by value would send the anchor's mass there and move
+    # 94 units as rank-one pieces
+    cfg = FlowConfig(grid_points=65)
+    b0 = finite_support_flow(random_inverse_critical(49, n=400), 6.0, cfg).final
+    z0, z1, n0, n1 = _count_target_sites(b0)
+    assert z0.size == b0.canonical(0.0).eigenvalues.size
+    repaired = np.flatnonzero(z0 != z1)
+    assert repaired.size == 2 and np.all(n1[repaired] > 0)
+    assert (73, 70) in {(n0[k], n1[k]) for k in repaired}
+    assert np.sum(n0 - np.minimum(n0, n1)) == 26
+    assert_ends_on_count_target(fix_spectrum_flow(b0, cfg), b0)
 
 
-@given(l0=st.integers(1, 29), l1=st.integers(1, 29), seed=st.integers(0, 2**32 - 1))
-def test_assign_matches_the_scipy_oracle_on_padded_supports(l0, l1, seed):
-    # the cost matrix of _align_supports: matched distances within tol, a
-    # mass-weighted penalty for each unmatched site, a free dummy block
-    rng = np.random.default_rng(seed)
-    tol, n = 0.2, 400
-    z0 = rng.normal(size=l0) + 1j * rng.normal(size=l0)
-    moved = z0[rng.permutation(l0)[: min(l0, l1)]]
-    fresh = rng.normal(size=l1 - moved.size) + 1j * rng.normal(size=l1 - moved.size)
-    z1 = np.concatenate([moved, fresh]) + 0.08 * (rng.normal(size=l1) + 1j * rng.normal(size=l1))
-    m0, m1 = rng.integers(1, 60, l0), rng.integers(1, 60, l1)
-    cost = np.full((l0 + l1, l1 + l0), 1e9)
-    d = np.abs(z0[:, None] - z1[None, :])
-    cost[:l0, :l1] = np.where(d <= tol, d, 1e9)
-    cost[np.arange(l0), l1 + np.arange(l0)] = tol * (1.0 + m0 / n)
-    cost[l0 + np.arange(l1), np.arange(l1)] = tol * (1.0 + m1 / n)
-    cost[l0:, l1:] = 0.0
-
-    col = _assign(cost)
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    assert np.array_equal(np.sort(col), np.arange(l0 + l1))
-    best = cost[rows, cols].sum()
-    assert abs(cost[np.arange(l0 + l1), col].sum() - best) <= 1e-12 * max(1.0, best)
-    ours = {(i, int(col[i])) for i in range(l0) if col[i] < l1 and d[i, col[i]] <= tol}
-    oracle = {(int(i), int(j)) for i, j in zip(rows, cols) if i < l0 and j < l1 and d[i, j] <= tol}
-    assert ours == oracle
+def test_fix_leg_moves_a_far_repaired_site_as_a_new_site():
+    # for B = 1/A at this draw the repair moves one anchor by 0.214 >
+    # DELTA_TV: that site leaves with count 0 and the target site arrives
+    # from count 0, so the leg still certifies
+    a = random_deformation_critical(6, n=400)
+    cfg = FlowConfig(grid_points=65)
+    leg1 = finite_support_flow(a.with_eigenvalues(1 / a.eigenvalues), 6.0, cfg)
+    z0, z1, n0, n1 = _count_target_sites(leg1.final)
+    assert np.max(np.abs(z0 - z1)) <= DELTA_TV
+    assert np.any((n0 == 0) & (n1 > 0))
+    leg2 = fix_spectrum_flow(leg1.final, cfg)
+    assert_ends_on_count_target(leg2, leg1.final)
+    assert len(leg2.meta["certificates"]) == 18
+    path_b = leg1.concat(leg2)
+    report = validate_assumption(
+        lift_to_deformation(path_b, 0.0),
+        frak_c1=max(6.0, path_b.meta["frak_c1"]),
+        frak_c_small=0.05,
+    )
+    assert report.passed
 
 
 # ------------------------------------------------------------- hermitian
@@ -337,7 +339,7 @@ def test_path_jsonl_roundtrip_and_concat():
     b = random_inverse_critical(31, n=400)
     p1 = finite_support_flow(b, 6.0)
     target = independent_count_target(p1.final)
-    p2 = fix_spectrum_flow(p1.final, target)
+    p2 = fix_spectrum_flow(p1.final)
     joined = p1.concat(p2)
     assert joined.grid[0] == 0.0 and joined.grid[-1] == 1.0
     assert "concat-junction" in joined.segment_kind

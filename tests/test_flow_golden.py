@@ -68,7 +68,7 @@ def test_inverse_side_pipeline_matches_golden(golden, seed):
     assert_path(golden, f"finite_support{seed}", leg1)
     target = independent_count_target(leg1.final)
     assert_spectrum(golden, f"count_target{seed}", target)
-    assert_path(golden, f"fix{seed}", fix_spectrum_flow(leg1.final, target, cfg))
+    assert_path(golden, f"fix{seed}", fix_spectrum_flow(leg1.final, cfg))
 
 
 def test_hermitian_flow_matches_golden(golden):
