@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spectrum", nargs="?", help="spectrum JSON file")
     p.add_argument("--check", metavar="PATH", help="re-validate an existing path")
     p.add_argument("--report", metavar="PATH", help="validation report JSON")
-    p.add_argument("--frak-c1", dest="frak_c1", type=float, help="path norm bound")
+    p.add_argument("--frak-c1", dest="frak_c1", type=float, help="path norm bound of --check")
     p.add_argument(
         "--frak-c-small", dest="frak_c_small", type=float, default=0.05,
         help="exponent in the alpha drift bound n^(-c)",
@@ -437,7 +437,7 @@ _FLOW_BUILD_ONLY = ("spectrum", "grid", "tol", "h0", "out", "report")
 def _flow_mode_error(args: argparse.Namespace) -> str | None:
     if args.check is not None:
         unread = [
-            name if name == "spectrum" else "--" + name.replace("_", "-")
+            name if name == "spectrum" else "--" + name
             for name in _FLOW_BUILD_ONLY
             if getattr(args, name) is not None
         ]

@@ -598,8 +598,7 @@ def fix_spectrum_flow(b0: DeformationSpectrum, cfg: FlowConfig | None = None) ->
     b1 = DeformationSpectrum(z1[n1 > 0], n1[n1 > 0], n)
     if float(np.max(np.abs(n0 - n1))) > DELTA_TV * n:
         raise DeltaTvExceeded(
-            f"max |n0 - n1| = {np.max(np.abs(n0 - n1)):.0f} exceeds "
-            f"{DELTA_TV} * N"
+            f"max |n0 - n1| = {np.max(np.abs(n0 - n1)):.0f} exceeds {DELTA_TV} * N"
         )
     chi0 = chi_of(b0)[0]
     chi1 = chi_of(b1)[0]
@@ -614,22 +613,10 @@ def fix_spectrum_flow(b0: DeformationSpectrum, cfg: FlowConfig | None = None) ->
 
     mods = [abs(z0[i1]), abs(z0[i2]), abs(z1[i1]), abs(z1[i2])]
     res_parts = [abs(z0[i1].real), abs(z0[i2].real), abs(z1[i1].real), abs(z1[i2].real)]
-    c_pair = 0.9 * min(
-        min(mods),
-        1.0 / max(mods),
-        p,
-        1.0 - p,
-        min(res_parts),
-        1.0 - max(chi0, chi1),
-        n_hat[i1] / n,
-        n_hat[i2] / n,
-    )
-    if c_pair <= 0:
-        raise ConditionViolated(["no positive admissibility constant for anchors"])
-    for tag, (za, zb, ch) in {
-        "start": (z0[i1], z0[i2], chi0),
-        "end": (z1[i1], z1[i2], chi1),
-    }.items():
+    # positive: the gate bounds chi below 1 and both anchors keep mass
+    c_pair = 0.9 * min(min(mods), 1.0 / max(mods), p, 1.0 - p, min(res_parts),
+                       1.0 - max(chi0, chi1), n_hat[i1] / n, n_hat[i2] / n)
+    for tag, za, zb, ch in (("start", z0[i1], z0[i2], chi0), ("end", z1[i1], z1[i2], chi1)):
         bad = check_z1z2(za, zb, ch, p, c_pair)
         if bad:
             raise ConditionViolated([f"{tag} anchors: {m}" for m in bad])
@@ -638,9 +625,7 @@ def fix_spectrum_flow(b0: DeformationSpectrum, cfg: FlowConfig | None = None) ->
     d0 = np.rint(n0 - n_hat).astype(int)
     d1 = np.rint(n1 - n_hat).astype(int)
     units0 = np.repeat(z0, d0)
-    units1 = np.repeat(z1, d1)
-    if units0.size != units1.size:
-        raise ConditionViolated(["count deficits do not balance"])
+    units1 = np.repeat(z1, d1)  # as many as units0: n0 and n1 both sum to n
     r_a, r_b = np.abs(units0), np.abs(units1)
     th_a = np.angle(units0)
     # shortest arc keeps the polar paths inside the modulus annulus
