@@ -35,6 +35,11 @@ DEFAULT_TOL = 1e-8
 #: Relative eigenvalue gap below which the Hessian counts as rotationally tied.
 TIE_TOL = 1e-9
 
+#: Im tr A^-3 (A*)^-1 at most PHASE_FLOOR * tr |A|^-4 is rounding: the phase
+#: folds of derive_b0 and of the Hessian eigendirection then read its sign
+#: from the real part alone.
+PHASE_FLOOR = 1e-12
+
 
 def hessian_at_origin(spec: DeformationSpectrum) -> np.ndarray:
     """Hessian of (x, y) -> tr |A - x - iy|^-2 at the origin.
@@ -54,7 +59,9 @@ def _eigs_of_hessian(h: np.ndarray) -> tuple[float, float, float]:
     """Closed-form (lambda1 >= lambda2, theta) of a symmetric 2x2 matrix.
 
     theta in [0, pi) is the angle of the lambda1 eigendirection; exact ties
-    (relative gap below TIE_TOL) report theta = 0.
+    (relative gap below TIE_TOL) report theta = 0.  An off-diagonal entry
+    at rounding level (h12 = -4 Im R within PHASE_FLOOR of h11 + h22 = 4 T)
+    reads theta from the sign of h11 - h22 alone: 0 or pi/2.
     """
     h = np.asarray(h, dtype=float)
     mean = 0.5 * (h[0, 0] + h[1, 1])
@@ -65,6 +72,8 @@ def _eigs_of_hessian(h: np.ndarray) -> tuple[float, float, float]:
     lam2 = mean - dev
     if lam1 - lam2 <= TIE_TOL * max(abs(lam1), 1e-300):
         theta = 0.0
+    elif abs(c) <= PHASE_FLOOR * 2.0 * mean:
+        theta = 0.0 if b > 0.0 else 0.5 * np.pi
     else:
         theta = 0.5 * np.arctan2(c, b)
         if theta < 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..criticality import hessian_at_origin, shape_alpha
+from ..criticality import PHASE_FLOOR, hessian_at_origin, shape_alpha
 from ..errors import ResidualExceeded, ZeroEigenvalue
 from ..spectrum import DeformationSpectrum
 
@@ -157,11 +157,14 @@ def derive_b0(a: DeformationSpectrum) -> tuple[DeformationSpectrum, float]:
 
     phi halves the argument of tr A^-3 A*^-1, folded into [0, pi), so that
     tr B^3 B* lands on the nonnegative real axis; phi = 0 when the trace
-    vanishes.
+    vanishes.  An imaginary part at rounding level (within PHASE_FLOOR of
+    tr |A|^-4) takes the argument of the real part alone: phi = 0 or pi/2.
     """
     skew3 = a.moment(-3, -1)
     if abs(skew3) <= 1e-12:
         phi = 0.0
+    elif abs(skew3.imag) <= PHASE_FLOOR * a.moment(-2, -2):
+        phi = 0.0 if skew3.real > 0.0 else 0.5 * np.pi
     else:
         phi = float(np.angle(skew3)) / 2.0
         if phi < 0.0:

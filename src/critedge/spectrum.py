@@ -41,10 +41,8 @@ def weighted_moment(values, weights, k: int, l: int, shift: complex = 0.0):
         raise ZeroEigenvalue(f"shift {shift} coincides with an eigenvalue")
     if k == l:
         return float(np.sum(weights * np.abs(d) ** (2 * k)))
-    # the weights multiply the finished product.  The rounding order shows in
-    # outputs: derive_b0 folds the phase of tr A^-3 A*^-1, which is real for
-    # the generated spectra up to a rounding-level imaginary part whose sign
-    # decides between phi near 0 and phi near pi
+    # the weights multiply the finished product; the rounding order shows in
+    # the last bits of every output
     return complex(np.sum(weights * (d**k * np.conj(d) ** l)))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critedge.criticality import (
@@ -140,6 +140,7 @@ def test_alpha_consistent_with_chi_route(seed):
     st.integers(min_value=0, max_value=10**6),
     st.floats(min_value=0.05, max_value=0.95),
 )
+@example(203, 0.5)  # the split moves h12 from -4.4e-16 to -5.0e-16
 @settings(max_examples=15)
 def test_splitting_a_multiplicity_changes_nothing(seed, frac):
     a = random_deformation_critical(seed, n=40)
@@ -161,15 +162,10 @@ def test_splitting_a_multiplicity_changes_nothing(seed, frac):
     assert chi(split) == pytest.approx(chi(a), rel=0, abs=1e-14)
     rep, rep_split = verify_criticality(a), verify_criticality(split)
     got, want = rep_split.to_json_dict(), rep.to_json_dict()
-    # the large Hessian eigendirection is an axis: theta is defined mod pi
-    # and gamma up to sign, and where h12 is zero in exact arithmetic the
-    # sign of its rounding picks theta near 0 or near pi
-    turn = (rep_split.theta - rep.theta) % np.pi
-    assert min(turn, np.pi - turn) <= 1e-14
-    assert abs(rep_split.gamma**2 - rep.gamma**2) <= 1e-13
+    # h12 is zero in exact arithmetic here, so the sign of its rounding
+    # must not pick theta near 0 or near pi
+    assert rep_split.theta == rep.theta
     for key, value in want.items():
-        if key in ("theta", "gamma_re", "gamma_im"):
-            continue
         if isinstance(value, float):
             assert abs(got[key] - value) <= 1e-14, key
         else:
