@@ -2,7 +2,6 @@
 
 from .construct import (
     FlowConfig,
-    ShrinkResult,
     finite_support_flow,
     fix_spectrum_flow,
     half_plane_mass_constant,
@@ -29,7 +28,6 @@ __all__ = [
     "IftProblem",
     "IftSolution",
     "PartitionMatching",
-    "ShrinkResult",
     "check_z1z2",
     "derive_b0",
     "f_chi_p",

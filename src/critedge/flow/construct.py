@@ -6,7 +6,11 @@ shift w, solved and certified by
 what moves and which two traces are held:
 
 * :func:`shrink_clusters` contracts two clusters onto single points along
-  straight lines, the two cluster shifts holding both pair traces;
+  straight lines, the two cluster shifts holding both pair traces; the
+  residual, d_t and the shift Jacobian all come from one entry array
+  through :func:`~critedge.flow.maps.cluster_traces` and
+  :func:`~critedge.flow.maps.entry_jacobian`, and it returns the two
+  flows with the continuation itself;
   :func:`finite_support_flow` runs it on every matched pair of a box mesh
   and collapses a critical diagonal matrix onto at most M support points;
 * :func:`fix_spectrum_flow` moves one finite-support spectrum exactly onto
@@ -57,16 +61,13 @@ from .maps import (
     cluster_traces,
     realify,
     unrealify,
-    weighted_entry_jacobian,
-    weighted_pair_jacobian,
-    weighted_pair_trace,
+    entry_jacobian,
 )
 from .partition import match_partitions, verify_matching
 from .paths import FlowPath
 
 __all__ = [
     "FlowConfig",
-    "ShrinkResult",
     "half_plane_mass_constant",
     "shrink_clusters",
     "finite_support_flow",
@@ -130,111 +131,52 @@ def half_plane_mass_constant(b: DeformationSpectrum, frak_c: float) -> float:
 # ------------------------------------------------------------------- shrink
 
 
-@dataclass(frozen=True)
-class ShrinkResult:
-    """Joint flow of one matched cluster pair.
-
-    ``flow1``/``flow2`` hold positions per (time, entry); the final rows are
-    constant at the corrected centers z1_tilde/z2_tilde.  Drift fields
-    measure how far the two conserved mass-normalised traces wander.
-    ``certificates`` holds one record per chained segment of [0, 1].
-    """
-
-    times: tuple
-    flow1: np.ndarray
-    flow2: np.ndarray
-    shifts: np.ndarray
-    z1_tilde: complex
-    z2_tilde: complex
-    drift_crit: float
-    drift_chi: float
-    fallback_steps: int
-    certificates: tuple
-
-
-def shrink_clusters(
-    v1,
-    v2,
-    z1: complex,
-    z2: complex,
-    chi: float,
-    grid=None,
-    *,
-    h: float | None = None,
-) -> ShrinkResult:
+def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid=None):
     """Contract two clusters onto single points without moving the pair traces.
 
     Entries travel along straight lines v + t (z - v) toward the centers
     while a common corrective shift per cluster (the implicit function)
-    keeps both conserved sums exactly at their initial values.  Every entry
-    counts once.  The caller checks the admissibility of the centers.
+    keeps the two mass-normalised traces of all entries, every entry
+    counting once, exactly at their initial values.  The caller checks the
+    admissibility of the centers.  Returns (flow1, flow2, continuation):
+    the positions per (grid point, entry), whose last rows sit on the
+    corrected centers, and the certified shift series.
     """
     v1 = np.asarray(v1, dtype=complex).reshape(-1)
     v2 = np.asarray(v2, dtype=complex).reshape(-1)
     if v1.size == 0 or v2.size == 0:
         raise ConditionViolated(["both clusters must be nonempty"])
-    c1 = np.ones(v1.size)
-    c2 = np.ones(v2.size)
-    z1 = complex(z1)
-    z2 = complex(z2)
     grid = _default_grid(257) if grid is None else np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
         raise ConditionViolated(["grid must increase from 0 to 1"])
 
-    d1 = z1 - v1
-    d2 = z2 - v2
-    d = np.concatenate([d1, d2])
-    if h is not None:
-        # mesh refinement certifies sup-norm radii, so check in the same norm
-        radius = float(np.max(np.maximum(np.abs(d.real), np.abs(d.imag))))
-        if radius > h * (1 + 1e-9):
-            raise MeshTooCoarse(
-                f"cluster sup-radius {radius:.4g} exceeds mesh width {h:.4g}"
-            )
-
-    f_target = weighted_pair_trace(v1, c1, v2, c2, chi)
+    sizes = (v1.size, v2.size)
+    v = np.concatenate([v1, v2])
+    d = np.concatenate([z1 - v1, z2 - v2])
+    weights = np.ones(v.size)
+    mass = float(v.size)
+    f_target = realify(*cluster_traces(v, weights, chi, mass))
     x_dir = np.column_stack([d.real, d.imag]).ravel()  # dt of the realified entries
 
-    def shifted(t, w):
-        w1, w2 = unrealify(w)
-        return v1 + t * d1 + w1, v2 + t * d2 + w2
+    def entries(t, w):
+        return v + t * d + np.repeat(unrealify(w), sizes)
 
     def residual(t, w):
-        u1, u2 = shifted(t, w)
-        f1, f2 = weighted_pair_trace(u1, c1, u2, c2, chi)
-        return realify(f1 - f_target[0], f2 - f_target[1])
+        return realify(*cluster_traces(entries(t, w), weights, chi, mass)) - f_target
 
     def jacobian(t, w):
-        u1, u2 = shifted(t, w)
-        return weighted_pair_jacobian(u1, c1, u2, c2, chi)
+        # a cluster's shift moves all its entries: sum its column pairs
+        entry = entry_jacobian(entries(t, w), weights, chi, mass).reshape(4, -1, 2)
+        return np.hstack([entry[:, :v1.size].sum(axis=1), entry[:, v1.size:].sum(axis=1)])
 
     def d_t(t, w):
-        u1, u2 = shifted(t, w)
-        return weighted_entry_jacobian(u1, c1, u2, c2, chi) @ x_dir
+        return entry_jacobian(entries(t, w), weights, chi, mass) @ x_dir
 
     cont = continue_anchored(residual, jacobian, grid, d_t=d_t)
-    shifts = cont.shifts
-    flow1 = v1 + grid[:, None] * d1 + shifts[:, :1]
-    flow2 = v2 + grid[:, None] * d2 + shifts[:, 1:]
+    flows = v + grid[:, None] * d + np.repeat(cont.shifts, sizes, axis=1)
     # the end rows sit exactly on the corrected centers
-    flow1[-1] = z1 + shifts[-1, 0]
-    flow2[-1] = z2 + shifts[-1, 1]
-
-    drift = np.array(
-        [weighted_pair_trace(f1, c1, f2, c2, chi) for f1, f2 in zip(flow1, flow2)]
-    ) - np.array(f_target)
-    return ShrinkResult(
-        times=tuple(float(t) for t in grid),
-        flow1=flow1,
-        flow2=flow2,
-        shifts=shifts,
-        z1_tilde=complex(flow1[-1][0]),
-        z2_tilde=complex(flow2[-1][0]),
-        drift_crit=float(np.abs(drift[:, 0]).max()),
-        drift_chi=float(np.abs(drift[:, 1]).max()),
-        fallback_steps=cont.fallback_steps,
-        certificates=cont.certificates,
-    )
+    flows[-1] = np.repeat(np.array([z1, z2]) + cont.shifts[-1], sizes)
+    return flows[:, :v1.size], flows[:, v1.size:], cont
 
 
 # ------------------------------------------------------- finite support flow
@@ -345,8 +287,8 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
     i_plus = idx[(re > 0.0) & (re <= c0)]
     i_minus = idx[(re > -c0) & (re <= 0.0)]
 
-    blocks_i_minus = _mesh_blocks(units, i_minus, h) if i_minus.size else []
-    blocks_i_plus = _mesh_blocks(units, i_plus, h) if i_plus.size else []
+    blocks_i_minus = _mesh_blocks(units, i_minus, h)
+    blocks_i_plus = _mesh_blocks(units, i_plus, h)
     # donate at least one outer unit per inner box so every box gets an
     # opposite-sign partner even when ceil((c0/2) N_i) is tiny
     k_plus = max(math.ceil(c0 / 2.0 * i_minus.size), len(blocks_i_minus))
@@ -392,7 +334,7 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
         if side1.size == 0 or side2.size == 0:
             raise PairingInfeasible(f"pairing {name} has one empty side")
         blocks1 = _mesh_blocks(units, side1, h)
-        blocks2 = _mesh_blocks(units, side2, h)
+        blocks2 = _mesh_blocks(units, side2, h) if inner_blocks is None else inner_blocks
         try:
             matching, _ = _match_with_scan(blocks1, blocks2, side1.size / side2.size)
         except PairingInfeasible:
@@ -422,17 +364,13 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
         p = m1 / (m1 + m2)
         ratio = m1 / m2
         c_z = 0.98 * min(c_geom, p, 1.0 - p, ratio / 2.0, 1.0 / (2.0 * ratio))
-        if c_z <= 0:
-            raise PairingInfeasible(f"pairing {name}: no positive pair constant")
         bad = check_z1z2(z1, z2, chi_re, p, c_z)
         if bad:
             raise PairingInfeasible(f"pairing {name}: centers violate {bad}")
-        res = shrink_clusters(v1, v2, z1, z2, chi_re, grid, h=h)
-        flows[:, idx1] = res.flow1
-        flows[:, idx2] = res.flow2
-        fallback += res.fallback_steps
-        max_shift = max(max_shift, float(np.max(np.abs(res.shifts))))
-        worst = max(res.certificates, key=lambda cert: cert["contraction"])
+        flows[:, idx1], flows[:, idx2], cont = shrink_clusters(v1, v2, z1, z2, chi_re, grid)
+        fallback += cont.fallback_steps
+        max_shift = max(max_shift, float(np.max(np.abs(cont.shifts))))
+        worst = max(cont.certificates, key=lambda cert: cert["contraction"])
         certs.append(
             {
                 "pairing": name,
@@ -440,8 +378,7 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
                 "c_pair": c_z,
                 "contraction": worst["contraction"],
                 "lipschitz": 2.0 * worst["c1"] * worst["c2"],
-                "legs": len(res.certificates),
-                "drift": max(res.drift_crit, res.drift_chi),
+                "legs": len(cont.certificates),
             }
         )
 

@@ -10,8 +10,9 @@ normalised traces that must vanish along every flow segment:
 Its realified 4x4 Jacobian is invertible on the admissible cone (separated
 real parts, moduli bounded by c and 1/c, chi <= 1-c, p in [c, 1-c]), which
 is what lets the implicit-function solver trade point positions for small
-corrective shifts.  The weighted variants act on whole clusters sharing a
-common shift, normalised by total mass.
+corrective shifts.  :func:`cluster_traces` gives the same two traces for
+any weighted set of values, normalised by a mass, and
+:func:`entry_jacobian` their realified Jacobian in each value.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ __all__ = [
     "pair_traces",
     "pair_jacobian",
     "cluster_traces",
-    "weighted_pair_trace",
-    "weighted_pair_jacobian",
-    "weighted_entry_jacobian",
+    "entry_jacobian",
     "realify",
     "unrealify",
 ]
@@ -144,34 +143,24 @@ def pair_jacobian(z1: complex, z2: complex, chi: float, p: float) -> np.ndarray:
     return jac
 
 
-def cluster_traces(values, counts, chi: float, mass: float) -> tuple[complex, complex]:
+def cluster_traces(values, weights, chi: float, mass: float) -> tuple[complex, complex]:
     """Trace contributions of weighted sites, normalised by ``mass``:
-    (sum c v^2 conj(v), sum c v^3 conj(v) - chi sum c |v|^4) / mass."""
-    f1 = weighted_moment(values, counts, 2, 1)
-    f2 = weighted_moment(values, counts, 3, 1) - chi * weighted_moment(values, counts, 2, 2)
+    (sum w v^2 conj(v), sum w v^3 conj(v) - chi sum w |v|^4) / mass."""
+    f1 = weighted_moment(values, weights, 2, 1)
+    f2 = weighted_moment(values, weights, 3, 1) - chi * weighted_moment(values, weights, 2, 2)
     return f1 / mass, f2 / mass
 
 
-def weighted_pair_trace(u1, c1, u2, c2, chi: float) -> tuple:
-    """Mass-normalised traces of a weighted two-cluster configuration."""
-    u = np.concatenate([np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)])
-    c = np.concatenate([np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)])
-    return cluster_traces(u, c, chi, c.sum())
+def entry_jacobian(values, weights, chi: float, mass: float) -> np.ndarray:
+    """Realified 4 x 2k Jacobian of :func:`cluster_traces` in each value.
 
-
-def weighted_entry_jacobian(u1, c1, u2, c2, chi: float) -> np.ndarray:
-    """Realified 4 x 2(k1+k2) Jacobian with respect to individual entries.
-
-    Column pair 2j, 2j+1 belongs to the j-th entry of the concatenated
-    configuration (cluster 1 first).  Summing column pairs within a cluster
-    recovers the corresponding shift block of weighted_pair_jacobian.
+    Column pair 2j, 2j+1 holds the derivatives in Re and Im of values[j];
+    summing the column pairs of a group of values gives the Jacobian in a
+    shift common to that group.
     """
-    u = np.concatenate([np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex)])
-    w = np.concatenate([np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)])
-    mass = w.sum()
-    f1x, f1y, f2x, f2y = _h_derivatives(u, chi)
-    jac = np.empty((4, 2 * u.size))
-    q = w / mass
+    f1x, f1y, f2x, f2y = _h_derivatives(np.asarray(values, dtype=complex), chi)
+    q = np.asarray(weights, dtype=float) / mass
+    jac = np.empty((4, 2 * q.size))
     jac[0, 0::2] = q * f1x.real
     jac[0, 1::2] = q * f1y.real
     jac[1, 0::2] = q * f1x.imag
@@ -181,11 +170,3 @@ def weighted_entry_jacobian(u1, c1, u2, c2, chi: float) -> np.ndarray:
     jac[3, 0::2] = q * f2x.imag
     jac[3, 1::2] = q * f2y.imag
     return jac
-
-
-def weighted_pair_jacobian(u1, c1, u2, c2, chi: float) -> np.ndarray:
-    """Realified 4x4 Jacobian with respect to the two common shifts: the
-    column pairs of weighted_entry_jacobian summed within each cluster."""
-    entry = weighted_entry_jacobian(u1, c1, u2, c2, chi).reshape(4, -1, 2)
-    k1 = np.size(u1)
-    return np.hstack([entry[:, :k1].sum(axis=1), entry[:, k1:].sum(axis=1)])

@@ -29,7 +29,7 @@ from critedge.flow import (
 from critedge.flow.construct import DELTA_TV, _count_target_sites
 from critedge.flow.continuation import continue_anchored
 from critedge.flow.ift import CONTRACTION_SLACK
-from critedge.flow.maps import realify, weighted_pair_trace
+from critedge.flow.maps import cluster_traces, realify
 from critedge.spectrum import DeformationSpectrum
 from critedge.synthesis import (
     random_deformation_critical,
@@ -49,22 +49,30 @@ def cluster_pair(h):
     return v1, v2, z1, z2
 
 
+def pair_traces_of(u1, u2, chi):
+    """The two mass-normalised traces of two clusters, every entry counting once."""
+    u = np.concatenate([u1, u2])
+    return cluster_traces(u, np.ones(u.size), chi, float(u.size))
+
+
 def test_shrink_conserves_both_traces_along_the_whole_flow():
     v1, v2, z1, z2 = cluster_pair(0.05)
     chi = 0.3
-    res = shrink_clusters(v1, v2, z1, z2, chi)
-    f1_0, f2_0 = weighted_pair_trace(v1, np.ones(3), v2, np.ones(2), chi)
-    for k in range(len(res.times)):
-        f1, f2 = weighted_pair_trace(
-            res.flow1[k], np.ones(3), res.flow2[k], np.ones(2), chi
-        )
+    grid = np.linspace(0.0, 1.0, 257)
+    flow1, flow2, cont = shrink_clusters(v1, v2, z1, z2, chi)
+    assert flow1.shape == (grid.size, 3) and flow2.shape == (grid.size, 2)
+    assert cont.shifts.shape == (grid.size, 2)
+    f1_0, f2_0 = pair_traces_of(v1, v2, chi)
+    for k in range(grid.size):
+        f1, f2 = pair_traces_of(flow1[k], flow2[k], chi)
         assert abs(f1 - f1_0) < 1e-12
         assert abs(f2 - f2_0) < 1e-12
-    assert res.drift_crit < 1e-12 and res.drift_chi < 1e-12
-    # endpoints: entries start where given and end at the corrected centers
-    assert np.allclose(res.flow1[0], v1) and np.allclose(res.flow2[0], v2)
-    assert np.abs(res.flow1[-1] - res.z1_tilde).max() < 1e-13
-    assert np.abs(res.flow2[-1] - res.z2_tilde).max() < 1e-13
+    # entries start where given and end together at the corrected centers
+    assert np.allclose(flow1[0], v1) and np.allclose(flow2[0], v2)
+    np.testing.assert_array_equal(flow1[-1], z1 + cont.shifts[-1, 0])
+    np.testing.assert_array_equal(flow2[-1], z2 + cont.shifts[-1, 1])
+    # the certificates tile [0, 1]
+    assert cont.certificates[0]["t0"] == 0.0 and cont.certificates[-1]["t1"] == 1.0
 
 
 def test_shrink_center_correction_is_second_order_in_the_radius():
@@ -77,27 +85,27 @@ def test_shrink_center_correction_is_second_order_in_the_radius():
     off2 -= off2.mean()
     sizes = []
     for h in (0.08, 0.04):
-        res = shrink_clusters(z1 + h * off1, z2 + h * off2, z1, z2, 0.3)
-        sizes.append(max(abs(res.z1_tilde - z1), abs(res.z2_tilde - z2)))
+        flow1, flow2, _ = shrink_clusters(z1 + h * off1, z2 + h * off2, z1, z2, 0.3)
+        sizes.append(max(abs(flow1[-1, 0] - z1), abs(flow2[-1, 0] - z2)))
     assert sizes[1] < sizes[0] / 3.5
 
 
 def test_shrink_final_centers_match_independent_root_solve():
     v1, v2, z1, z2 = cluster_pair(0.05)
     chi = 0.3
-    res = shrink_clusters(v1, v2, z1, z2, chi)
-    target = realify(*weighted_pair_trace(v1, np.ones(3), v2, np.ones(2), chi))
+    flow1, flow2, _ = shrink_clusters(v1, v2, z1, z2, chi)
+    target = realify(*pair_traces_of(v1, v2, chi))
 
     def equations(w):
-        f1, f2 = weighted_pair_trace(
-            [complex(w[0], w[1])], [3.0], [complex(w[2], w[3])], [2.0], chi
+        f1, f2 = cluster_traces(
+            np.array([complex(w[0], w[1]), complex(w[2], w[3])]), np.array([3.0, 2.0]), chi, 5.0
         )
         return realify(f1, f2) - target
 
     sol = scipy.optimize.root(equations, realify(z1, z2), tol=1e-13)
     assert sol.success
-    assert abs(complex(sol.x[0], sol.x[1]) - res.z1_tilde) < 1e-9
-    assert abs(complex(sol.x[2], sol.x[3]) - res.z2_tilde) < 1e-9
+    assert abs(complex(sol.x[0], sol.x[1]) - flow1[-1, 0]) < 1e-9
+    assert abs(complex(sol.x[2], sol.x[3]) - flow2[-1, 0]) < 1e-9
 
 
 def test_shrink_rejects_empty_cluster_and_bad_grid():

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from critedge.errors import ConditionViolated
 from critedge.flow import f_chi_p
-from critedge.flow.maps import (
-    realify,
-    unrealify,
-    weighted_entry_jacobian,
-    weighted_pair_jacobian,
-    weighted_pair_trace,
-)
+from critedge.flow.maps import cluster_traces, entry_jacobian, realify, unrealify
 
 
 def fd_jacobian(z1, z2, chi, p, step=1e-6):
@@ -97,49 +91,50 @@ def test_admissible_point_passes_the_gate():
 
 def test_weighted_trace_reduces_to_point_map():
     z1, z2, chi, p = 0.9 + 0.4j, -1.2 + 0.1j, 0.35, 0.3
-    f1, f2 = weighted_pair_trace([z1], [p], [z2], [1.0 - p], chi)
+    f1, f2 = cluster_traces(np.array([z1, z2]), np.array([p, 1.0 - p]), chi, 1.0)
     ref = f_chi_p(z1, z2, chi, p).f
     assert abs(f1 - ref[0]) < 1e-14
     assert abs(f2 - ref[1]) < 1e-14
-    jac = weighted_pair_jacobian([z1], [p], [z2], [1.0 - p], chi)
+    jac = entry_jacobian([z1, z2], [p, 1.0 - p], chi, 1.0)
     assert np.abs(jac - f_chi_p(z1, z2, chi, p).jacobian).max() < 1e-14
 
 
 def test_entry_jacobian_columns_sum_to_shift_blocks():
+    # a shift common to a cluster moves each of its entries, so its
+    # Jacobian is the sum of the cluster's column pairs
     rng = np.random.default_rng(5)
-    u1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    u2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    c1 = rng.uniform(0.5, 2.0, 3)
-    c2 = rng.uniform(0.5, 2.0, 2)
-    chi = 0.45
-    entry = weighted_entry_jacobian(u1, c1, u2, c2, chi)
-    pair = weighted_pair_jacobian(u1, c1, u2, c2, chi)
+    u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    c = rng.uniform(0.5, 2.0, 5)
+    chi, mass = 0.45, c.sum()
+    entry = entry_jacobian(u, c, chi, mass)
     assert entry.shape == (4, 10)
-    # cluster 1 occupies column pairs 0..2, cluster 2 pairs 3..4
-    left = entry[:, 0:6:2].sum(axis=1), entry[:, 1:6:2].sum(axis=1)
-    right = entry[:, 6::2].sum(axis=1), entry[:, 7::2].sum(axis=1)
-    assert np.abs(np.column_stack(left) - pair[:, 0:2]).max() < 1e-12
-    assert np.abs(np.column_stack(right) - pair[:, 2:4]).max() < 1e-12
+    step = 1e-6
+    for cluster in (slice(0, 3), slice(3, 5)):
+        summed = entry.reshape(4, 5, 2)[:, cluster].sum(axis=1)
+        for part, e in ((0, step), (1, 1j * step)):
+            up, um = u.copy(), u.copy()
+            up[cluster] += e
+            um[cluster] -= e
+            fp = realify(*cluster_traces(up, c, chi, mass))
+            fm = realify(*cluster_traces(um, c, chi, mass))
+            assert np.abs((fp - fm) / (2 * step) - summed[:, part]).max() < 5e-8
 
 
 def test_entry_jacobian_matches_finite_differences():
     rng = np.random.default_rng(9)
-    u1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    u2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    c1 = rng.uniform(0.5, 2.0, 2)
-    c2 = rng.uniform(0.5, 2.0, 2)
-    chi = 0.3
-    jac = weighted_entry_jacobian(u1, c1, u2, c2, chi)
+    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    c = rng.uniform(0.5, 2.0, 4)
+    chi, mass = 0.3, c.sum()
+    jac = entry_jacobian(u, c, chi, mass)
 
     step = 1e-6
-    u = np.concatenate([u1, u2])
     for j in range(4):
         for part, e in ((0, step), (1, 1j * step)):
             up = u.copy()
             up[j] += e
             um = u.copy()
             um[j] -= e
-            fp = weighted_pair_trace(up[:2], c1, up[2:], c2, chi)
-            fm = weighted_pair_trace(um[:2], c1, um[2:], c2, chi)
+            fp = cluster_traces(up, c, chi, mass)
+            fm = cluster_traces(um, c, chi, mass)
             col = (realify(*fp) - realify(*fm)) / (2 * step)
             assert np.abs(col - jac[:, 2 * j + part]).max() < 5e-8
