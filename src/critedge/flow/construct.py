@@ -59,9 +59,9 @@ from .continuation import (
 from .maps import (
     check_z1z2,
     cluster_traces,
+    entry_jacobian,
     realify,
     unrealify,
-    entry_jacobian,
 )
 from .partition import match_partitions, verify_matching
 from .paths import FlowPath
@@ -358,8 +358,9 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
     for name, idx1, idx2 in jobs:
         v1 = units[idx1]
         v2 = units[idx2]
-        z1 = complex(np.mean(v1))
-        z2 = complex(np.mean(v2))
+        # copies of one atom keep their value: np.mean of equal entries can
+        # land an ulp away, and an atom split over two jobs would split
+        z1, z2 = (complex(v[0] if np.all(v == v[0]) else np.mean(v)) for v in (v1, v2))
         m1, m2 = idx1.size, idx2.size
         p = m1 / (m1 + m2)
         ratio = m1 / m2

@@ -146,6 +146,17 @@ def test_finite_support_flow_conserves_and_bounds(seed):
     assert abs(chi1 - chi0) < 1e-8
 
 
+def test_finite_support_flow_keeps_split_atoms_together():
+    # seed 3 splits the copies of one atom over two matched jobs; both
+    # must stay on one value, not on two sites a rounding error apart
+    b = random_inverse_critical(3, n=80)
+    path = finite_support_flow(b, 6.0, FlowConfig(grid_points=65))
+    for state in path.states:
+        gaps = np.abs(state.eigenvalues[:, None] - state.eigenvalues[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-12
+
+
 def test_half_plane_mass_constant_bounds():
     b = random_inverse_critical(5, n=400)
     frak_c = 6.0

@@ -8,6 +8,10 @@
 * ``hermitian_flow(random_real_critical(7, n=80), 6.0, grid_points=65)``;
 * ``random_inverse_critical(seed)`` for seed 0, 1, 3 and 6.
 
+The ``finite_support3``, ``fix3`` and ``count_target3`` keys were
+rewritten when the shrink leg stopped splitting the copies of one atom
+into two sites a rounding error apart (sizes 44 -> 43 from state 33).
+
 Grids, support sizes and multiplicities must match exactly; eigenvalues,
 residuals and derivative estimates within 1e-13.  A change that moves any
 of them changes what the builders compute, not just how.
