@@ -42,8 +42,8 @@ EXIT_USAGE = 2
 class RunConfig:
     """Validated run parameters of all subcommands.
 
-    A config file may set every field; a subcommand has flags only for the
-    fields it reads (SUBCOMMAND_FLAGS).
+    A subcommand has flags only for the fields it reads (SUBCOMMAND_FLAGS),
+    and its config file may set only those fields.
     """
 
     n: int | None = None
@@ -87,8 +87,14 @@ class RunConfig:
         return tuple(f.name for f in fields(cls))
 
     @classmethod
-    def parse(cls, config_path: str | None, flag_values: dict) -> "RunConfig":
-        """Merge defaults, a JSON config file, and explicit flags."""
+    def parse(
+        cls, config_path: str | None, flag_values: dict, command: str, keys: tuple
+    ) -> "RunConfig":
+        """Merge defaults, a JSON config file, and explicit flags.
+
+        The file may set only the fields in ``keys``, the ones ``command``
+        reads.
+        """
         merged: dict = {}
         if config_path is not None:
             try:
@@ -101,6 +107,9 @@ class RunConfig:
             unknown = sorted(set(data) - set(cls.field_names()))
             if unknown:
                 raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            unread = sorted(set(data) - set(keys))
+            if unread:
+                raise ConfigError(f"{command} does not read config keys: {', '.join(unread)}")
             merged.update(data)
         for key, value in flag_values.items():
             if value is not None:
@@ -422,16 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what `flow` reads only when it builds a path: --check re-validates a path
+# file and refuses these, as flags or config keys; the build refuses --frak-c1
+_FLOW_BUILD_ONLY = ("spectrum", "grid", "tol", "h0", "out", "report")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    command, keys = args.command, SUBCOMMAND_FLAGS[args.command]
+    if command == "flow" and args.check is not None:
+        command, keys = "flow --check", tuple(k for k in keys if k not in _FLOW_BUILD_ONLY)
     flag_values = {
         name: getattr(args, name, None) for name in RunConfig.field_names()
     }
-    return RunConfig.parse(args.config, flag_values)
-
-
-# what `flow` reads only when it builds a path: --check re-validates a path
-# file and refuses these; the build refuses --frak-c1
-_FLOW_BUILD_ONLY = ("spectrum", "grid", "tol", "h0", "out", "report")
+    return RunConfig.parse(args.config, flag_values, command, keys)
 
 
 def _flow_mode_error(args: argparse.Namespace) -> str | None:

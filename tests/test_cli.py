@@ -265,11 +265,37 @@ def test_config_range_validation(pm_file, capsys):
     assert cli.main(["analyze", pm_file, "--frak-c", "0.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, keys, message",
+    [
+        (["analyze", "SPEC"], {"trials": 5, "grid": 9, "model": "iid-custom"},
+         "analyze does not read config keys: grid, model, trials"),
+        (["flow", "--check", "PATH"], {"out": "OUT", "grid": 65, "h0": 5},
+         "flow --check does not read config keys: grid, h0, out"),
+        (["compare", "SUMMARY", "SUMMARY"], {"seed": 1}, "compare does not read config keys: seed"),
+    ],
+    ids=["analyze", "flow-check", "compare"],
+)
+def test_config_key_the_subcommand_does_not_read_exits_2(
+    pm_file, tmp_path, argv, keys, message, capsys
+):
+    path_file, out = tmp_path / "p.jsonl", tmp_path / "x.json"
+    assert cli.main(["flow", pm_file, "--grid", "9", "--out", str(path_file)]) == 0
+    names = {"SPEC": pm_file, "PATH": str(path_file),
+             "SUMMARY": write_summary(tmp_path / "s.json", 1.0, 0.1)}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({k: str(out) if v == "OUT" else v for k, v in keys.items()}))
+    capsys.readouterr()
+    assert cli.main([*(names.get(a, a) for a in argv), "--config", str(cfg_file)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runconfig_serialize_roundtrip(tmp_path):
     cfg = cli.RunConfig(trials=9, seed=4, model="iid-custom")
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps(dataclasses.asdict(cfg)))
-    back = cli.RunConfig.parse(str(cfg_file), {})
+    back = cli.RunConfig.parse(str(cfg_file), {}, "all", cli.RunConfig.field_names())
     assert back == cfg
 
 
