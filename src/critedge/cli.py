@@ -297,12 +297,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
             eigs = spectra.deformed_eigenvalues(spec, x)
             radii.append(float(np.max(np.abs(eigs))))
         rows = [["trial", "radius"]] + [[j, repr(r)] for j, r in enumerate(radii)]
-        value = float(np.mean(radii))
-        err = (
-            float(np.std(radii, ddof=1) / np.sqrt(len(radii)))
-            if len(radii) > 1
-            else 0.0
-        )
+        value, err = spectra.mean_std_error(radii)
         summary.update(value=value, std_error=err)
 
     csv_text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"

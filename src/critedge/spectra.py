@@ -35,6 +35,7 @@ __all__ = [
     "rescale",
     "hermitize",
     "estimate_statistic",
+    "mean_std_error",
     "radial_bump",
     "anisotropic_bump",
     "GaussianField",
@@ -216,6 +217,19 @@ def _statistic_one_trial(spec, model, k, test_function, gamma, seed):
     return total
 
 
+def mean_std_error(samples) -> tuple[float, float]:
+    """Mean of per-trial values and its standard error std(ddof=1)/sqrt(count).
+
+    ConditionViolated below two trials: one value has no spread to estimate.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < 2:
+        raise ConditionViolated(
+            [f"a standard error needs at least two trials, got {samples.size}"]
+        )
+    return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(samples.size))
+
+
 def estimate_statistic(
     spec: DeformationSpectrum,
     model: str,
@@ -241,11 +255,7 @@ def estimate_statistic(
     per_trial = np.array(
         [_statistic_one_trial(spec, model, k, test_function, gamma, s) for s in seeds]
     )
-    value = float(np.mean(per_trial))
-    if trials > 1:
-        std_error = float(np.std(per_trial, ddof=1) / np.sqrt(trials))
-    else:
-        std_error = float("inf")
+    value, std_error = mean_std_error(per_trial)
     return CorrelationEstimate(
         k=int(k),
         test_function_id=fn_id,

@@ -150,6 +150,22 @@ def test_simulate_correlation_writes_csv_and_summary(pm_file, tmp_path):
     assert np.isfinite(summary["value"]) and summary["std_error"] >= 0
 
 
+@pytest.mark.parametrize("statistic", ["correlation", "radius"])
+def test_simulate_standard_error_needs_two_trials(pm_file, tmp_path, capsys, statistic):
+    # one rule for both per-trial statistics: mean, std(ddof=1)/sqrt(trials),
+    # and no estimate at all from a single trial
+    out = tmp_path / "s.csv"
+    argv = ["simulate", pm_file, "--statistic", statistic, "--out", str(out)]
+    assert cli.main([*argv, "--trials", "1"]) == 1
+    assert "at least two trials" in capsys.readouterr().err
+    assert not (tmp_path / "s.summary.json").exists()
+    assert cli.main([*argv, "--trials", "3"]) == 0
+    values = np.array([float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]])
+    summary = json.loads((tmp_path / "s.summary.json").read_text())
+    assert summary["value"] == float(np.mean(values))
+    assert summary["std_error"] == float(np.std(values, ddof=1) / np.sqrt(3))
+
+
 def test_simulate_is_byte_deterministic(pm_file, tmp_path):
     outs = []
     for tag in ("x", "y"):
