@@ -180,7 +180,6 @@ def verify_criticality(
     interpreted relative to the unit normalisation, so it is applied as an
     absolute bound on both defects.
     """
-    spec.require_invertible()
     norm_a, norm_a_inv = spec.operator_norms()
     inv2 = spec.moment(-1, -1)
     skew = spec.moment(-2, -1)

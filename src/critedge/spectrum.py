@@ -130,13 +130,6 @@ class DeformationSpectrum:
     def moduli(self) -> np.ndarray:
         return np.abs(self.eigenvalues)
 
-    def require_invertible(self) -> None:
-        m = self.moduli()
-        if np.any(m == 0.0):
-            raise ZeroEigenvalue(
-                f"smallest eigenvalue modulus {m.min():.3e} is not invertible"
-            )
-
     def operator_norms(self) -> tuple[float, float]:
         """(norm of A, norm of A inverse) for a normal matrix."""
         m = self.moduli()

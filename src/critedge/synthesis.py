@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+# random_inverse_critical keeps every modulus in [1.25 / FRAK_C, 0.8 FRAK_C],
+# jitters each unit by up to JITTER per component around its cluster
+# center, and redraws at most ATTEMPTS times
+FRAK_C = 6.0
+JITTER = 0.003
+ATTEMPTS = 25
+
+
 def _anchor_solve(units, starts, mass_l, mass_r, chi, tol=1e-14):
     """Place two anchors so the combined configuration is critical.
 
@@ -47,12 +55,7 @@ def _anchor_solve(units, starts, mass_l, mass_r, chi, tol=1e-14):
 
 
 def random_inverse_critical(
-    seed: int,
-    n: int = 400,
-    chi: float | None = None,
-    frak_c: float = 6.0,
-    jitter: float = 0.003,
-    attempts: int = 25,
+    seed: int, n: int = 400, chi: float | None = None
 ) -> DeformationSpectrum:
     """Random inverse-side critical spectrum, normalised to tr |B|^2 = 1.
 
@@ -61,7 +64,7 @@ def random_inverse_critical(
     atoms.  chi(B) equals the requested value exactly; drawn uniformly
     from [0.1, 0.7] when omitted.
     """
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         rng = np.random.default_rng((seed, attempt))
         chi_val = float(rng.uniform(0.1, 0.7)) if chi is None else float(chi)
 
@@ -81,8 +84,8 @@ def random_inverse_critical(
             im = rng.choice([-1.0, 1.0]) * rng.uniform(0.55, 0.95, 1)
             centers.append(re + 1j * im)
         centers = np.concatenate(centers)
-        if np.any(np.abs(centers) < 2.0 / frak_c) or np.any(
-            np.abs(centers) > 0.6 * frak_c
+        if np.any(np.abs(centers) < 2.0 / FRAK_C) or np.any(
+            np.abs(centers) > 0.6 * FRAK_C
         ):
             continue
 
@@ -100,7 +103,7 @@ def random_inverse_critical(
         units = np.concatenate(
             [
                 c
-                + jitter
+                + JITTER
                 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
                 for c, k in zip(centers, alloc)
             ]
@@ -123,20 +126,16 @@ def random_inverse_critical(
         scale = float(np.sqrt(weighted_moment(values, counts, 1, 1) / n))
         values = values / scale
         moduli = np.abs(values)
-        if moduli.min() < 1.25 / frak_c or moduli.max() > 0.8 * frak_c:
+        if moduli.min() < 1.25 / FRAK_C or moduli.max() > 0.8 * FRAK_C:
             continue
         return DeformationSpectrum(values, counts, n)
     raise NoConvergence(
-        f"no admissible critical instance after {attempts} draws (seed {seed})"
+        f"no admissible critical instance after {ATTEMPTS} draws (seed {seed})"
     )
 
 
 def random_deformation_critical(
-    seed: int,
-    n: int = 400,
-    chi: float | None = None,
-    frak_c: float = 6.0,
-    jitter: float = 0.003,
+    seed: int, n: int = 400, chi: float | None = None
 ) -> DeformationSpectrum:
     """Random normal deformation, critical at the origin.
 
@@ -144,13 +143,11 @@ def random_deformation_critical(
     so tr |A|^-2 = 1 holds exactly and the inverse-side derivation recovers
     the generating spectrum with phase zero.
     """
-    b = random_inverse_critical(seed, n=n, chi=chi, frak_c=frak_c, jitter=jitter)
+    b = random_inverse_critical(seed, n=n, chi=chi)
     return b.with_eigenvalues(1.0 / b.eigenvalues)
 
 
-def random_real_critical(
-    seed: int, n: int = 400, frak_c: float = 6.0
-) -> DeformationSpectrum:
+def random_real_critical(seed: int, n: int = 400) -> DeformationSpectrum:
     """Random real critical spectrum (chi = 1 case).
 
     Positive sites are drawn freely; the negative sites share a common

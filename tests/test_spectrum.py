@@ -33,10 +33,10 @@ def test_weights_normalised(pm_spectrum):
     assert pm_spectrum.weights.sum() == pytest.approx(1.0)
 
 
-def test_require_invertible_raises_on_zero():
+def test_operator_norms_raises_on_zero():
     s = DeformationSpectrum(np.array([0.0 + 0j, 1.0]), np.array([1, 4]), 5)
-    with pytest.raises(ZeroEigenvalue):
-        s.require_invertible()
+    with pytest.raises(ZeroEigenvalue, match="zero eigenvalue has no inverse norm"):
+        s.operator_norms()
 
 
 def test_json_roundtrip_is_exact(tmp_path, pm_spectrum):

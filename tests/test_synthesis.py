@@ -16,7 +16,7 @@ from critedge.synthesis import (
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25)
 def test_inverse_generator_invariants(seed):
-    b = random_inverse_critical(seed, n=400, frak_c=6.0)
+    b = random_inverse_critical(seed, n=400)
     w = b.weights
     ev = b.eigenvalues
     # second moment normalised, skew trace zero, chi real in window
