@@ -173,7 +173,9 @@ def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid=None):
         return entry_jacobian(entries(t, w), weights, chi, mass) @ x_dir
 
     cont = continue_anchored(residual, jacobian, grid, d_t=d_t)
-    flows = v + grid[:, None] * d + np.repeat(cont.shifts, sizes, axis=1)
+    flows = v + grid[:, None] * d
+    flows[:, :v1.size] += cont.shifts[:, :1]
+    flows[:, v1.size:] += cont.shifts[:, 1:]
     # the end rows sit exactly on the corrected centers
     flows[-1] = np.repeat(np.array([z1, z2]) + cont.shifts[-1], sizes)
     return flows[:, :v1.size], flows[:, v1.size:], cont
