@@ -2,8 +2,9 @@
 
 Each complex builder is a continuation F(t, w) = 0 of a corrective anchor
 shift w, solved and certified by
-:func:`~critedge.flow.continuation.continue_anchored`; they differ only in
-what moves and which two traces are held:
+:func:`~critedge.flow.continuation.continue_anchored`, and each passes the
+analytic dF/dt of its residual; they differ only in what moves and which
+two traces are held:
 
 * :func:`shrink_clusters` contracts two clusters onto single points along
   straight lines, the two cluster shifts holding both pair traces; the
@@ -16,6 +17,8 @@ what moves and which two traces are held:
 * :func:`fix_spectrum_flow` moves one finite-support spectrum exactly onto
   its count target, two heavy anchors absorbing the repair
   f_{chi,p}(z1 + w1, z2 + w2) + q = 0 while chi interpolates linearly;
+  its dF/dt is the entry Jacobian of q applied to the side sites'
+  velocities, less the chi drift of every |.|^4 term;
   the target, :func:`independent_count_target`, is built from the
   spectrum's own sites (folded, snapped, the same repair solved once
   without t), so every site is paired with the one it came from by
@@ -172,7 +175,7 @@ def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid=None):
     def d_t(t, w):
         return entry_jacobian(entries(t, w), weights, chi, mass) @ x_dir
 
-    cont = continue_anchored(residual, jacobian, grid, d_t=d_t)
+    cont = continue_anchored(residual, jacobian, d_t, grid)
     flows = v + grid[:, None] * d
     flows[:, :v1.size] += cont.shifts[:, :1]
     flows[:, v1.size:] += cont.shifts[:, 1:]
@@ -598,8 +601,22 @@ def fix_spectrum_flow(b0: DeformationSpectrum, cfg: FlowConfig | None = None) ->
     def jacobian(t, w):
         return anchor_jacobian(w, z0[i1], z0[i2], chi_at(t), p)
 
+    lin_velocity = z1[rest] - z0[rest]
+
+    def d_t(t, w):
+        # the side sites move along their paths; chi(t) moves every |.|^4 term
+        r = (1.0 - t) * r_a + t * r_b
+        pol_velocity = (r_b - r_a + 1j * r * dth) * np.exp(1j * (th_a + t * dth))
+        values = side_values(t)
+        out = entry_jacobian(values, side_counts, chi_at(t), mass12) @ np.concatenate(
+            [lin_velocity, pol_velocity]).view(float)
+        anchors4 = np.abs(z0[[i1, i2]] + unrealify(w)) ** 4
+        out[2] -= (chi1 - chi0) * (p * anchors4[0] + (1.0 - p) * anchors4[1]
+                                   + weighted_moment(values, side_counts, 2, 2) / mass12)
+        return out
+
     grid = _default_grid(cfg.grid_points)
-    cont = continue_anchored(residual, jacobian, grid)
+    cont = continue_anchored(residual, jacobian, d_t, grid)
     anchors = z0[[i1, i2]] + cont.shifts
     miss = float(np.linalg.norm(anchors[-1] - z1[[i1, i2]]))
     if miss > ENDPOINT_TOL:

@@ -11,7 +11,9 @@ machinery once:
   the other sites;
 * :func:`newton` is the damped Newton solve on the realified 4-vector;
 * :func:`continue_anchored` steps w over the output grid and certifies the
-  whole of [0, 1] by a chain of quantitative-IFT certificates;
+  whole of [0, 1] by a chain of quantitative-IFT certificates, each with
+  the scalar control t and the caller's analytic dF/dt as its control
+  derivative;
 * :func:`assemble_path` turns sampled values into a :class:`FlowPath`.
 """
 
@@ -149,38 +151,28 @@ class Continuation:
     fallback_steps: int
 
 
-def continue_anchored(residual, jacobian, grid, d_t=None) -> Continuation:
+def continue_anchored(residual, jacobian, d_t, grid) -> Continuation:
     """Solve F(t, w) = 0 along the grid and certify it on all of [0, 1].
 
-    ``residual(t, w)`` and ``jacobian(t, w)`` give F and D_w F in the
-    realified w = realify(w1, w2), with F(0, 0) = 0; ``d_t(t, w)`` is an
-    optional analytic dF/dt (finite differences otherwise).  Each grid
-    point is solved by the fixed point with the Jacobian frozen at the
-    origin, started from the previous point's shift; a damped Newton takes
-    over when that stalls.
+    ``residual(t, w)``, ``jacobian(t, w)`` and ``d_t(t, w)`` give F, D_w F
+    and the analytic dF/dt in the realified w = realify(w1, w2), with
+    F(0, 0) = 0.  Each grid point is solved by the fixed point with the
+    Jacobian frozen at the origin, started from the previous point's shift;
+    a damped Newton takes over when that stalls.
 
     The certificate chain works in continuous t, independent of the grid.
     On a segment [a, b] the problem is re-based at (a, w_a) and handed to
-    quantitative_ift with control s = t - a.  RadiusExceeded bumps h_y
-    through H_Y_BUMPS; ContractionFailed, an exhausted bump ladder or a
-    failed Newton probe of w_b bisect the segment, re-freezing the Jacobian
-    at each start.  Past CHAIN_DEPTH bisections ChainExhausted is raised.
+    quantitative_ift with the scalar control s = t - a.  RadiusExceeded
+    bumps h_y through H_Y_BUMPS; ContractionFailed, an exhausted bump
+    ladder or a failed Newton probe of w_b bisect the segment, re-freezing
+    the Jacobian at each start.  Past CHAIN_DEPTH bisections ChainExhausted
+    is raised.
     """
     grid = np.asarray(grid, dtype=float)
     chain: list[dict] = []
 
     def certify(a: float, b: float, w_a: np.ndarray, depth: int) -> np.ndarray:
         dt = b - a
-
-        def res_seg(s, y):
-            return residual(a + s[0], w_a + y)
-
-        def dy_seg(s, y):
-            return jacobian(a + s[0], w_a + y)
-
-        def dx_seg(s, y):
-            return d_t(a + s[0], w_a + y).reshape(4, 1)
-
         y_b, _, ok = newton(lambda y: residual(b, w_a + y), lambda y: jacobian(b, w_a + y),
                             np.zeros(4))
         last: Exception = NoConvergence("corrective-shift probe did not converge")
@@ -190,11 +182,14 @@ def continue_anchored(residual, jacobian, grid, d_t=None) -> Continuation:
             # h_y / (2 c1 c2) must cover the segment length
             base = max(2.6 * c1 * c2 * dt, 3.0 * float(np.linalg.norm(y_b)), 1e-8)
             for bump in H_Y_BUMPS:
-                problem = IftProblem(res_seg, h_x=dt * (1 + 1e-9), h_y=base * bump,
-                                     dim_x=1, dim_y=4, d_y=dy_seg,
-                                     d_x=None if d_t is None else dx_seg)
+                problem = IftProblem(
+                    residual=lambda s, y: residual(a + s, w_a + y),
+                    d_y=lambda s, y: jacobian(a + s, w_a + y),
+                    d_x=lambda s, y: d_t(a + s, w_a + y),
+                    h_x=dt * (1 + 1e-9), h_y=base * bump, dim_y=4,
+                )
                 try:
-                    sol = quantitative_ift(problem, np.array([dt]), y0=y_b, tol=TOL_SOLVE)
+                    sol = quantitative_ift(problem, dt, y0=y_b, tol=TOL_SOLVE)
                 except RadiusExceeded as exc:
                     last = exc
                     continue

@@ -27,6 +27,7 @@ from critedge.flow import (
     validate_assumption,
 )
 from critedge.flow.construct import DELTA_TV, _count_target_sites
+from critedge.flow import construct
 from critedge.flow.continuation import continue_anchored
 from critedge.flow.ift import CONTRACTION_SLACK
 from critedge.flow.maps import cluster_traces, realify
@@ -124,8 +125,42 @@ def test_exhausted_certificate_chain_raises_chain_exhausted():
     def jacobian(t, w):
         return np.eye(4) + np.diag(2e9 * w)
 
+    def d_t(t, w):
+        return -np.array([1e-3, 0.0, 0.0, 0.0])
+
     with pytest.raises(ChainExhausted, match="certificate chain exhausted"):
-        continue_anchored(residual, jacobian, np.linspace(0.0, 1.0, 5))
+        continue_anchored(residual, jacobian, d_t, np.linspace(0.0, 1.0, 5))
+
+
+def test_both_legs_pass_d_t_matching_central_differences(monkeypatch):
+    # every continuation the legs run is captured with its residual and
+    # d_t, which must agree with a central difference of the residual in t
+    runs = []
+
+    def capture(residual, jacobian, d_t, grid):
+        cont = continue_anchored(residual, jacobian, d_t, grid)
+        runs.append((residual, d_t, cont))
+        return cont
+
+    monkeypatch.setattr(construct, "continue_anchored", capture)
+    cfg = FlowConfig(grid_points=65)
+    leg1 = finite_support_flow(random_inverse_critical(3, n=80), 6.0, cfg)
+    shrinks = len(runs)
+    fix_spectrum_flow(leg1.final, cfg)
+    assert shrinks == leg1.meta["pairs"] and len(runs) == shrinks + 1
+    # five-point stencil: its O(h^4) error and the rounding of the small
+    # shrink residuals both stay far below the bound at this step
+    h = 1e-3
+    for residual, d_t, cont in runs:
+        for k in (8, 23, 40, 57):
+            t = k / (cfg.grid_points - 1)
+            w = realify(*cont.shifts[k])
+            central = (
+                8.0 * (residual(t + h, w) - residual(t - h, w))
+                - (residual(t + 2 * h, w) - residual(t - 2 * h, w))
+            ) / (12.0 * h)
+            exact = d_t(t, w)
+            assert np.linalg.norm(exact - central) <= 1e-6 * np.linalg.norm(exact)
 
 
 # ------------------------------------------------- finite support pipeline
