@@ -124,6 +124,8 @@ def quantitative_ift(problem: IftProblem, x_target: float, y0=None,
         if the sampled contraction bound exceeds 1/2 plus slack.
     RadiusExceeded
         if |x_target| exceeds the certified radius min(h_x, h_y/(2 c1 c2)).
+    NoConvergence
+        if MAX_ITER steps leave ||F|| above tol.
     """
     y_zero = np.zeros(problem.dim_y)
     j0_inv = np.linalg.inv(np.asarray(problem.d_y(0.0, y_zero), dtype=float))
@@ -149,7 +151,7 @@ def quantitative_ift(problem: IftProblem, x_target: float, y0=None,
     y, res_norm, iterations = frozen_solve(
         lambda y: problem.residual(x_target, y), j0_inv, y_zero if y0 is None else y0, tol, MAX_ITER
     )
-    if res_norm > tol and res_norm > 1e-8:
+    if res_norm > tol:
         raise NoConvergence(
             f"implicit solve stalled at ||F|| = {res_norm:.3e} after {iterations} steps"
         )

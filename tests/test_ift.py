@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from critedge.errors import ContractionFailed, RadiusExceeded
+from critedge.errors import ContractionFailed, NoConvergence, RadiusExceeded
 from critedge.flow import IftProblem, quantitative_ift
 
 
@@ -57,6 +57,22 @@ def test_radius_exceeded():
 def test_contraction_failed_for_strong_nonlinearity():
     with pytest.raises(ContractionFailed):
         quantitative_ift(cubic_problem(1.0), 0.1)
+
+
+def test_stalled_solve_raises_no_convergence():
+    # a residual with a 1e-10 jump at its root: the frozen iteration
+    # alternates around it with ||F|| = 2e-10, below 1e-8 but above tol
+    def residual(x, y):
+        return np.array([y[0] - x + 1e-10 * np.sign(y[0] - x)])
+
+    problem = IftProblem(
+        residual=residual,
+        d_y=lambda x, y: np.array([[1.0]]),
+        d_x=lambda x, y: np.array([-1.0]),
+        h_x=1.0, h_y=1.0, dim_y=1,
+    )
+    with pytest.raises(NoConvergence, match="stalled"):
+        quantitative_ift(problem, 0.3, tol=1e-12)
 
 
 def test_warm_start_changes_nothing_but_iterations():
