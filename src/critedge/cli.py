@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectra
 from .criticality import verify_criticality
-from .errors import ConfigError, CritEdgeError, ZeroEigenvalue
+from .errors import ConditionViolated, ConfigError, CritEdgeError, ZeroEigenvalue
 from .flow import (
     FlowConfig,
     FlowPath,
@@ -46,7 +46,6 @@ class RunConfig:
     and its config file may set only those fields.
     """
 
-    n: int | None = None
     seed: int = 0
     trials: int = 100
     delta: float = 0.05
@@ -59,8 +58,6 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n is not None and self.n < 2:
-            raise ConfigError(f"n must be at least 2, got {self.n}")
         if not 0 <= self.seed < 2**63:
             raise ConfigError("seed must fit in a signed 64-bit integer")
         if self.trials < 1:
@@ -171,10 +168,10 @@ def _report_path(args: argparse.Namespace, cfg: RunConfig) -> str | None:
 
 def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.check is not None:
-        path_a = _load_path(args.check)
-        rep = validate_assumption(
-            path_a, frak_c1=args.frak_c1 or cfg.frak_c, frak_c_small=args.frak_c_small
-        )
+        frak_c1 = cfg.frak_c if args.frak_c1 is None else args.frak_c1
+        if frak_c1 <= 1.0:
+            raise ConfigError(f"frak_c1 must exceed 1, got {frak_c1}")
+        rep = validate_assumption(_load_path(args.check), frak_c1=frak_c1)
         for line in rep.lines():
             print(line)
         return EXIT_OK if rep.passed else EXIT_DOMAIN
@@ -198,9 +195,7 @@ def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
         path_a.save_jsonl(cfg.out)
 
     frak_c1 = float(path_b.meta.get("frak_c1", cfg.frak_c))
-    rep = validate_assumption(
-        path_a, frak_c1=max(cfg.frak_c, frak_c1), frak_c_small=args.frak_c_small
-    )
+    rep = validate_assumption(path_a, frak_c1=max(cfg.frak_c, frak_c1))
     report_file = _report_path(args, cfg)
     summary = {
         "grid_points": len(path_a.grid),
@@ -238,10 +233,6 @@ def _summary_path(out: str | None) -> str | None:
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = _simulate_input(args)
-    if cfg.n is not None and cfg.n != spec.n:
-        raise ConfigError(
-            f"--n {cfg.n} conflicts with the spectrum dimension {spec.n}"
-        )
     summary: dict = {
         "statistic": args.statistic,
         "model": cfg.model,
@@ -279,7 +270,8 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
             ["lhs", "rhs", "gap", "quad_points", "jittered_nodes"],
             [repr(rep.lhs), repr(rep.rhs), repr(rep.gap), rep.quad_points, rep.jittered_nodes],
         ]
-        summary.update(value=rep.gap, std_error=0.0, lhs=rep.lhs, rhs=rep.rhs)
+        # one matrix, no spread: without std_error, compare refuses the summary
+        summary.update(value=rep.gap, lhs=rep.lhs, rhs=rep.rhs)
     elif args.statistic == "sv-tail":
         eta = args.eta if args.eta is not None else float(spec.n) ** (-0.75 - cfg.delta)
         est = spectra.smallest_sv_tail(
@@ -326,10 +318,9 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     b = _load_summary(args.stats_b)
     gap = abs(float(a["value"]) - float(b["value"]))
     combined = float(np.hypot(float(a["std_error"]), float(b["std_error"])))
-    if combined > 0.0:
-        z = gap / combined
-    else:
-        z = 0.0 if gap == 0.0 else float("inf")
+    if combined <= 0.0:
+        raise ConditionViolated(["the combined standard error is 0, so no z-score exists"])
+    z = gap / combined
     verdict = {
         "value_a": float(a["value"]),
         "value_b": float(b["value"]),
@@ -351,7 +342,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 # argparse keywords of the flag of each RunConfig field
 _FLAG_KWARGS = {
-    **dict.fromkeys(("n", "seed", "trials", "grid", "quad"), {"type": int}),
+    **dict.fromkeys(("seed", "trials", "grid", "quad"), {"type": int}),
     **dict.fromkeys(("delta", "frak_c", "tol", "h0"), {"type": float}),
     "model": {"choices": spectra.MODELS},
     "out": {"metavar": "PATH"},
@@ -361,7 +352,7 @@ _FLAG_KWARGS = {
 SUBCOMMAND_FLAGS = {
     "analyze": ("frak_c", "tol", "out"),
     "flow": ("frak_c", "tol", "h0", "grid", "out"),
-    "simulate": ("n", "seed", "trials", "delta", "quad", "model", "out"),
+    "simulate": ("seed", "trials", "delta", "quad", "model", "out"),
     "compare": ("out",),
 }
 
@@ -390,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", metavar="PATH", help="re-validate an existing path")
     p.add_argument("--report", metavar="PATH", help="validation report JSON")
     p.add_argument("--frak-c1", dest="frak_c1", type=float, help="path norm bound of --check")
-    p.add_argument(
-        "--frak-c-small", dest="frak_c_small", type=float, default=0.05,
-        help="exponent in the alpha drift bound n^(-c)",
-    )
     _config_flags(p, "flow")
     p.set_defaults(func=cmd_flow)
 

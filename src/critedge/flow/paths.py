@@ -31,6 +31,8 @@ SEGMENT_KINDS = ("shrink", "fix", "hermitian", "concat-junction")
 MATCH_TOL = 1e-10
 # criticality residuals |tr |A|^-2 - 1| and |tr A^-2 A*^-1| validate_assumption accepts
 CRIT_TOL = 1e-8
+# validate_assumption bounds the alpha drift per unit time by n^(-FRAK_C_SMALL)
+FRAK_C_SMALL = 0.05
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,6 @@ class AssumptionReport:
 
     n: int
     frak_c1: float
-    frak_c_small: float
     criticality_failures: tuple
     max_alpha_step: float
     alpha_bound: float
@@ -227,16 +228,12 @@ class AssumptionReport:
         return out
 
 
-def validate_assumption(
-    path_a: FlowPath,
-    frak_c1: float,
-    frak_c_small: float,
-) -> AssumptionReport:
+def validate_assumption(path_a: FlowPath, frak_c1: float) -> AssumptionReport:
     """Check a lifted path against the deformation-path conditions.
 
     With n the dimension of the path's states, per grid point: operator
     norms within frak_c1 and criticality residuals within CRIT_TOL; alpha
-    drift per unit time at most n^(-frak_c_small) by finite differences;
+    drift per unit time at most n^(-FRAK_C_SMALL) by finite differences;
     entrywise time derivative at most frak_c1 * log(n).  Junction
     (zero-length) intervals are skipped in the difference quotients.
     Report-only: never raises.
@@ -257,7 +254,7 @@ def validate_assumption(
             )
         alphas.append(shape_alpha(hessian_at_origin(s)))
 
-    alpha_bound = float(n) ** (-frak_c_small)
+    alpha_bound = float(n) ** (-FRAK_C_SMALL)
     deriv_bound = frak_c1 * np.log(n)
     max_alpha_step = 0.0
     for idx in range(len(path_a.grid) - 1):
@@ -274,7 +271,6 @@ def validate_assumption(
     return AssumptionReport(
         n=int(n),
         frak_c1=float(frak_c1),
-        frak_c_small=float(frak_c_small),
         criticality_failures=tuple(failures),
         max_alpha_step=float(max_alpha_step),
         alpha_bound=alpha_bound,

@@ -108,6 +108,17 @@ def test_flow_check_locates_corruption(tmp_path, capsys):
     assert "offender" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("frak_c1", ["0", "1.0", "-6"])
+def test_flow_check_rejects_frak_c1_at_most_1(pm_file, tmp_path, capsys, frak_c1):
+    path_file = tmp_path / "p.jsonl"
+    assert cli.main(["flow", pm_file, "--grid", "9", "--out", str(path_file)]) == 0
+    capsys.readouterr()
+    assert cli.main(["flow", "--check", str(path_file), "--frak-c1", frak_c1]) == 2
+    captured = capsys.readouterr()
+    assert "frak_c1 must exceed 1" in captured.err
+    assert captured.out == ""
+
+
 def test_flow_real_spectrum_routes_to_hermitian(tmp_path):
     b = random_real_critical(1)
     s = np.sqrt(np.sum(b.weights * b.eigenvalues**2))
@@ -182,21 +193,13 @@ def test_simulate_is_byte_deterministic(pm_file, tmp_path):
 def test_simulate_girko_statistic(pm_file, tmp_path):
     out = tmp_path / "girko.csv"
     rc = cli.main([
-        "simulate", pm_file, "--statistic", "girko", "--quad", "48",
-        "--n", "100", "--out", str(out),
+        "simulate", pm_file, "--statistic", "girko", "--quad", "48", "--out", str(out),
     ])
     assert rc == 0
     summary = json.loads((tmp_path / "girko.summary.json").read_text())
     assert abs(summary["lhs"] - summary["rhs"]) == pytest.approx(summary["value"])
-
-
-def test_simulate_n_conflict_exits_2(pm_file, tmp_path, capsys):
-    rc = cli.main([
-        "simulate", pm_file, "--statistic", "radius", "--n", "64",
-        "--out", str(tmp_path / "r.csv"),
-    ])
-    assert rc == 2
-    assert "conflicts" in capsys.readouterr().err
+    # one matrix gives no standard error, so the summary claims none
+    assert "std_error" not in summary
 
 
 def test_simulate_from_path_endpoint(tmp_path):
@@ -230,6 +233,32 @@ def test_malformed_path_file_exits_2(tmp_path, capsys, command):
 def write_summary(path, value, std_error):
     path.write_text(json.dumps({"value": value, "std_error": std_error}))
     return str(path)
+
+
+def test_compare_refuses_girko_summaries(tmp_path, capsys):
+    f = write_spectrum(tmp_path / "a.json", random_deformation_critical(0, n=12))
+    for seed in ("1", "2"):
+        assert cli.main([
+            "simulate", f, "--statistic", "girko", "--quad", "16", "--seed", seed,
+            "--out", str(tmp_path / f"g{seed}.csv"),
+        ]) == 0
+    out = tmp_path / "verdict.json"
+    rc = cli.main([
+        "compare", str(tmp_path / "g1.summary.json"), str(tmp_path / "g2.summary.json"),
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert "lacks value/std_error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_with_zero_combined_error_exits_1(tmp_path, capsys):
+    a = write_summary(tmp_path / "a.json", 1.0, 0.0)
+    b = write_summary(tmp_path / "b.json", 2.0, 0.0)
+    out = tmp_path / "verdict.json"
+    assert cli.main(["compare", a, b, "--out", str(out)]) == 1
+    assert "ConditionViolated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_agreement_and_rejection(tmp_path, capsys):
@@ -329,9 +358,12 @@ def test_runconfig_serialize_roundtrip(tmp_path):
         ),
         (["flow", "SPEC", "--check", "PATH"], "flow --check does not read spectrum"),
         (["flow", "SPEC", "--frak-c1", "0.5"], "flow without --check does not read --frak-c1"),
+        (["flow", "--check", "PATH", "--frak-c-small", "-1"], "unrecognized arguments"),
+        (["simulate", "SPEC", "--statistic", "radius", "--n", "64"], "unrecognized arguments"),
     ],
     ids=["analyze-grid", "flow-trials", "simulate-frak-c", "compare-seed",
-         "flow-check-build-flags", "flow-check-spectrum", "flow-build-frak-c1"],
+         "flow-check-build-flags", "flow-check-spectrum", "flow-build-frak-c1",
+         "flow-check-frak-c-small", "simulate-n"],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(pm_file, tmp_path, argv, message, capsys):
     names = {"SPEC": pm_file, "PATH": str(tmp_path / "p.jsonl"),
