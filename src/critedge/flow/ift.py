@@ -82,7 +82,8 @@ def _sample_points(problem: IftProblem) -> list[tuple[float, np.ndarray]]:
         pts += [(scale * problem.h_x, np.zeros(ny)), (-scale * problem.h_x, np.zeros(ny))]
         pts += [(0.0, scale * problem.h_y * e) for e in np.eye(ny)]
     for _ in range(SAMPLES):
-        # one normal draws the sign of x, as a 1-D direction would
+        # a normal draw gives the sign of x: the order of the draws fixes
+        # the sampled points, which tests/data/certificate_golden.json pins
         sign = float(np.sign(rng.standard_normal()))
         dy = rng.standard_normal(ny)
         dy = dy / (np.linalg.norm(dy) or 1.0) * problem.h_y
