@@ -16,6 +16,7 @@ from critedge.errors import (
 from critedge.flow import (
     FlowConfig,
     FlowPath,
+    construct,
     derive_b0,
     finite_support_flow,
     fix_spectrum_flow,
@@ -27,7 +28,6 @@ from critedge.flow import (
     validate_assumption,
 )
 from critedge.flow.construct import DELTA_TV, _count_target_sites
-from critedge.flow import construct
 from critedge.flow.continuation import continue_anchored
 from critedge.flow.ift import CONTRACTION_SLACK
 from critedge.flow.maps import cluster_traces, realify
