@@ -18,6 +18,7 @@ import numpy as np
 
 from . import spectra
 from .criticality import verify_criticality
+from .dyson import ETA_DELTA
 from .errors import ConditionViolated, ConfigError, CritEdgeError, ZeroEigenvalue
 from .flow import (
     FlowConfig,
@@ -48,7 +49,6 @@ class RunConfig:
 
     seed: int = 0
     trials: int = 100
-    delta: float = 0.05
     frak_c: float = 6.0
     tol: float = 1e-8
     h0: float | None = None
@@ -62,8 +62,6 @@ class RunConfig:
             raise ConfigError("seed must fit in a signed 64-bit integer")
         if self.trials < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.frak_c <= 1.0:
             raise ConfigError(f"frak_c must exceed 1, got {self.frak_c}")
         if self.tol <= 0.0:
@@ -273,7 +271,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
         # one matrix, no spread: without std_error, compare refuses the summary
         summary.update(value=rep.gap, lhs=rep.lhs, rhs=rep.rhs)
     elif args.statistic == "sv-tail":
-        eta = args.eta if args.eta is not None else float(spec.n) ** (-0.75 - cfg.delta)
+        eta = args.eta if args.eta is not None else float(spec.n) ** (-0.75 - ETA_DELTA)
         est = spectra.smallest_sv_tail(
             spec, cfg.model, z=args.center, eta=eta, trials=cfg.trials, seed0=cfg.seed
         )
@@ -343,7 +341,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 # argparse keywords of the flag of each RunConfig field
 _FLAG_KWARGS = {
     **dict.fromkeys(("seed", "trials", "grid", "quad"), {"type": int}),
-    **dict.fromkeys(("delta", "frak_c", "tol", "h0"), {"type": float}),
+    **dict.fromkeys(("frak_c", "tol", "h0"), {"type": float}),
     "model": {"choices": spectra.MODELS},
     "out": {"metavar": "PATH"},
 }
@@ -352,7 +350,7 @@ _FLAG_KWARGS = {
 SUBCOMMAND_FLAGS = {
     "analyze": ("frak_c", "tol", "out"),
     "flow": ("frak_c", "tol", "h0", "grid", "out"),
-    "simulate": ("seed", "trials", "delta", "quad", "model", "out"),
+    "simulate": ("seed", "trials", "quad", "model", "out"),
     "compare": ("out",),
 }
 

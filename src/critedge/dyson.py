@@ -52,6 +52,8 @@ MAX_ITER = 100
 # defect bound and damped-iteration cap of solve_mde_full
 FULL_TOL = 1e-10
 FULL_MAX_ITER = 5000
+# the regularisation scale of flow_scalings is eta_inf = n^(-3/4-ETA_DELTA)
+ETA_DELTA = 0.05
 
 
 @dataclass(frozen=True)
@@ -273,46 +275,38 @@ def solve_batch(spec: DeformationSpectrum, points) -> list[dict]:
     ]
 
 
-def cubic_residual(
-    spec: DeformationSpectrum,
-    report=None,
-    z: complex = 0.0,
-    eta: float = 1e-6,
-    v: float | None = None,
-) -> float:
+def cubic_residual(spec: DeformationSpectrum, z: complex = 0.0, eta: float = 1e-6) -> float:
     """Defect of the approximate cubic law for v near a critical origin.
 
-    Evaluates |I4 v^3 - (1/2) z^T Hess z * v - eta| where I4 = tr |A|^-4 and
-    the Hessian is taken at the origin (from ``report`` when supplied).
-    The documented bound is O(|z|^4 + eta^(4/3)).
+    Evaluates |I4 v^3 - (1/2) z^T Hess z * v - eta| where I4 = tr |A|^-4,
+    v is the scalar Dyson solution at (z, eta) and the Hessian is taken at
+    the origin.  The documented bound is O(|z|^4 + eta^(4/3)).
     """
-    if v is None:
-        v = solve_v_scalar(spec, z, eta).v
+    v = solve_v_scalar(spec, z, eta).v
     i4 = spec.moment(-2, -2)
-    h = report.hessian if report is not None else hessian_at_origin(spec)
     xy = np.array([complex(z).real, complex(z).imag])
-    quad = 0.5 * float(xy @ np.asarray(h, dtype=float) @ xy)
+    quad = 0.5 * float(xy @ hessian_at_origin(spec) @ xy)
     return abs(i4 * v**3 - quad * v - eta)
 
 
-def flow_scalings(spec: DeformationSpectrum, n: int | None = None, delta: float = 0.05) -> FlowScalings:
+def flow_scalings(spec: DeformationSpectrum) -> FlowScalings:
     """Evaluate the flow rescaling constants for one deformation.
 
-    ``eta_infinity = n^(-3/4-delta)`` and ``eta_t = eta_infinity / c_t`` with
-    ``c_t = I4^(-1/4)`` and I4 = tr |A|^-4; ``gamma_t = I4^(1/4) e^(i theta)``,
-    its phase aligning the large Hessian eigendirection, matching the
-    scaling factor used for eigenvalue clouds.
+    With n = spec.n, ``eta_infinity = n^(-3/4-ETA_DELTA)`` and
+    ``eta_t = eta_infinity / c_t`` with ``c_t = I4^(-1/4)`` and
+    I4 = tr |A|^-4; ``gamma_t = I4^(1/4) e^(i theta)``, its phase aligning
+    the large Hessian eigendirection, matching the scaling factor used for
+    eigenvalue clouds.
     """
-    if n is None:
-        n = spec.n
+    n = spec.n
     i4 = spec.moment(-2, -2)
     _, _, theta = _eigs_of_hessian(hessian_at_origin(spec))
     c_t = i4 ** (-0.25)
     gamma_t = complex(i4**0.25 * np.exp(1j * theta))
-    eta_inf = float(n) ** (-0.75 - delta)
+    eta_inf = float(n) ** (-0.75 - ETA_DELTA)
     return FlowScalings(
         n=int(n),
-        delta=float(delta),
+        delta=ETA_DELTA,
         i4=float(i4),
         c_t=float(c_t),
         gamma_t=gamma_t,
@@ -322,16 +316,11 @@ def flow_scalings(spec: DeformationSpectrum, n: int | None = None, delta: float 
     )
 
 
-def rescaled_cubic_residual(
-    spec: DeformationSpectrum,
-    w: complex,
-    t_scalings: FlowScalings | None = None,
-    n: int | None = None,
-    alpha: float | None = None,
-) -> float:
+def rescaled_cubic_residual(spec: DeformationSpectrum, w: complex) -> float:
     """Defect of the flow-normalised cubic law at a rescaled point w.
 
-    Evaluates
+    With the constants of :func:`flow_scalings` and alpha the shape of the
+    Hessian at the origin, evaluates
     ``|(I4^(1/4) v)^3 - n^(-1/2)/2 * ((Re w)^2 + alpha (Im w)^2)/(1+alpha)
     * (I4^(1/4) v) - eta_inf|``
     with ``v`` solved at the shifted point and at ``eta = eta_t``.
@@ -340,16 +329,12 @@ def rescaled_cubic_residual(
     modulus); with the flow factor alone the quadratic coefficient would be
     off by four and the documented O(1/n) bound would fail.
     """
-    if t_scalings is None:
-        t_scalings = flow_scalings(spec, n)
-    n_eff = t_scalings.n if n is None else n
-    if alpha is None:
-        h = hessian_at_origin(spec)
-        lam1, lam2, _ = _eigs_of_hessian(h)
-        alpha = lam2 / lam1
-    gamma_density = 2.0 * t_scalings.gamma_t
-    z_w = complex(w / (gamma_density * n_eff**0.25))
-    sol = solve_v_scalar(spec, z_w, t_scalings.eta_t)
-    u = t_scalings.i4**0.25 * sol.v
+    sc = flow_scalings(spec)
+    lam1, lam2, _ = _eigs_of_hessian(hessian_at_origin(spec))
+    alpha = lam2 / lam1
+    gamma_density = 2.0 * sc.gamma_t
+    z_w = complex(w / (gamma_density * sc.n**0.25))
+    sol = solve_v_scalar(spec, z_w, sc.eta_t)
+    u = sc.i4**0.25 * sol.v
     quad = 0.5 * ((w.real**2 + alpha * w.imag**2) / (1.0 + alpha))
-    return abs(u**3 - quad * u / np.sqrt(n_eff) - t_scalings.eta_infinity)
+    return abs(u**3 - quad * u / np.sqrt(sc.n) - sc.eta_infinity)

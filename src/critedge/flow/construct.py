@@ -102,10 +102,6 @@ class FlowConfig:
     ladder: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
-def _default_grid(points: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
-
-
 # ---------------------------------------------------------------- half plane
 
 
@@ -134,13 +130,14 @@ def half_plane_mass_constant(b: DeformationSpectrum, frak_c: float) -> float:
 # ------------------------------------------------------------------- shrink
 
 
-def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid=None):
+def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid):
     """Contract two clusters onto single points without moving the pair traces.
 
     Entries travel along straight lines v + t (z - v) toward the centers
     while a common corrective shift per cluster (the implicit function)
     keeps the two mass-normalised traces of all entries, every entry
-    counting once, exactly at their initial values.  The caller checks the
+    counting once, exactly at their initial values, at every time of
+    ``grid`` (increasing from 0 to 1).  The caller checks the
     admissibility of the centers.  Returns (flow1, flow2, continuation):
     the positions per (grid point, entry), whose last rows sit on the
     corrected centers, and the certified shift series.
@@ -149,7 +146,7 @@ def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid=None):
     v2 = np.asarray(v2, dtype=complex).reshape(-1)
     if v1.size == 0 or v2.size == 0:
         raise ConditionViolated(["both clusters must be nonempty"])
-    grid = _default_grid(257) if grid is None else np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
         raise ConditionViolated(["grid must increase from 0 to 1"])
 
@@ -263,7 +260,7 @@ def finite_support_flow(
     c0 = half_plane_mass_constant(b, frak_c)
     chi_re, chi_im = chi_of(b)
     units = b.expand()
-    grid = _default_grid(cfg.grid_points)
+    grid = np.linspace(0.0, 1.0, cfg.grid_points)
     h0 = cfg.h0 if cfg.h0 is not None else 0.1 / frak_c
     attempts = []
     for mult in cfg.ladder:
@@ -455,7 +452,7 @@ def _count_target_sites(b: DeformationSpectrum):
     value with target count 0 and arrives as a new site of count 0 in b.
     """
     n = b.n
-    spec = b.canonical(0.0)
+    spec = b.canonical()
     z0 = spec.eigenvalues
     q = n / COUNT_DENOMINATOR
     sites = list(range(z0.size))
@@ -615,7 +612,7 @@ def fix_spectrum_flow(b0: DeformationSpectrum, cfg: FlowConfig | None = None) ->
                                    + weighted_moment(values, side_counts, 2, 2) / mass12)
         return out
 
-    grid = _default_grid(cfg.grid_points)
+    grid = np.linspace(0.0, 1.0, cfg.grid_points)
     cont = continue_anchored(residual, jacobian, d_t, grid)
     anchors = z0[[i1, i2]] + cont.shifts
     miss = float(np.linalg.norm(anchors[-1] - z1[[i1, i2]]))
@@ -706,7 +703,7 @@ def hermitian_flow(
                 hi = mid
         return 0.5 * (lo + hi)
 
-    grid = _default_grid(grid_points)
+    grid = np.linspace(0.0, 1.0, grid_points)
     aligned = np.empty((grid.size, x.size), dtype=complex)
     for k, t in enumerate(grid):
         if t == 0.0:

@@ -253,7 +253,7 @@ def assemble_path(
     counts = np.asarray(counts, dtype=np.int64)
     states, residual_crit, residual_chi = [], [], []
     for vals, chi_t in zip(rows, chi_target):
-        state = DeformationSpectrum(vals, counts, n).canonical(0.0)
+        state = DeformationSpectrum(vals, counts, n).canonical()
         states.append(state)
         residual_crit.append(abs(state.moment(2, 1)))
         c_re, c_im = chi_of(state)

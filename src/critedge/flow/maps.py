@@ -36,6 +36,9 @@ __all__ = [
     "unrealify",
 ]
 
+# slack of every inequality check_z1z2 tests
+ADMISSIBLE_TOL = 1e-12
+
 
 def realify(f1: complex, f2: complex) -> np.ndarray:
     return np.array([f1.real, f1.imag, f2.real, f2.imag], dtype=float)
@@ -64,9 +67,9 @@ def _block(fx: complex, fy: complex) -> np.ndarray:
     return np.array([[fx.real, fy.real], [fx.imag, fy.imag]], dtype=float)
 
 
-def check_z1z2(z1: complex, z2: complex, chi: float, p: float, c: float,
-               tol: float = 1e-12) -> list:
-    """Return the list of violated admissibility conditions (empty if none)."""
+def check_z1z2(z1: complex, z2: complex, chi: float, p: float, c: float) -> list:
+    """Return the admissibility conditions violated beyond ADMISSIBLE_TOL."""
+    tol = ADMISSIBLE_TOL
     failures = []
     for label, z in (("z1", z1), ("z2", z2)):
         m = abs(z)

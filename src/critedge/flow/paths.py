@@ -85,8 +85,8 @@ class FlowPath:
         Endpoint spectra must agree within MATCH_TOL on canonical form;
         the junction becomes a zero-length interval tagged concat-junction.
         """
-        a = self.final.canonical(merge_tol=0.0)
-        b = other.initial.canonical(merge_tol=0.0)
+        a = self.final.canonical()
+        b = other.initial.canonical()
         if a.n != b.n or a.eigenvalues.size != b.eigenvalues.size or (
             np.max(np.abs(a.eigenvalues - b.eigenvalues)) > MATCH_TOL
             or np.any(a.multiplicities != b.multiplicities)

@@ -168,7 +168,7 @@ def rescale(points, n: int, gamma: complex) -> np.ndarray:
     return np.asarray(points, dtype=complex) * (float(n) ** 0.25 * gamma)
 
 
-def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex = 0.0) -> HermitizedOperator:
+def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex) -> HermitizedOperator:
     block = _as_sample(spec, x).copy()
     idx = np.arange(spec.n)
     block[idx, idx] += spec.expand() - complex(z)
@@ -178,25 +178,28 @@ def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex = 0.0) -> Her
 # ---------------------------------------------------------------------------
 # correlation statistics
 
+# support radius of the named test functions, in the rescaled frame
+BUMP_RADIUS = 2.5
 
-def radial_bump(w, radius: float = 2.5):
-    """Smooth compactly supported bump of |w|; insensitive to the shape
-    parameter at leading order since the quadratic density integrates
-    isotropically against radial weights."""
+
+def radial_bump(w):
+    """Smooth bump of |w| supported in the disc of radius BUMP_RADIUS;
+    insensitive to the shape parameter at leading order since the
+    quadratic density integrates isotropically against radial weights."""
     w = np.asarray(w, dtype=complex)
-    r2 = (np.abs(w) / radius) ** 2
+    r2 = (np.abs(w) / BUMP_RADIUS) ** 2
     out = np.zeros(w.shape, dtype=float)
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
     return out
 
 
-def anisotropic_bump(w, radius: float = 2.5):
+def anisotropic_bump(w):
     """Quadrupole-weighted bump; its mean responds to the cone opening of
     the limiting density, which makes it a shape-sensitive probe."""
     w = np.asarray(w, dtype=complex)
-    quad_weight = (w.real**2 - w.imag**2) / radius**2
-    return radial_bump(w, radius) * quad_weight
+    quad_weight = (w.real**2 - w.imag**2) / BUMP_RADIUS**2
+    return radial_bump(w) * quad_weight
 
 
 _NAMED_TEST_FUNCTIONS = {

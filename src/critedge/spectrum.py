@@ -147,24 +147,14 @@ class DeformationSpectrum:
     def with_eigenvalues(self, ev: np.ndarray) -> "DeformationSpectrum":
         return DeformationSpectrum(ev, self.multiplicities, self.n)
 
-    def canonical(self, merge_tol: float = 0.0) -> "DeformationSpectrum":
-        """Sort lexicographically and merge duplicate eigenvalues.
-
-        ``merge_tol`` is an absolute distance below which consecutive sorted
-        values are considered equal.  A run of equal values keeps its value
-        bit for bit; any other run becomes its multiplicity-weighted mean.
-        """
+    def canonical(self) -> "DeformationSpectrum":
+        """Sort lexicographically and merge exactly equal eigenvalues,
+        adding their multiplicities; every value is kept bit for bit."""
         order = np.lexsort((self.eigenvalues.imag, self.eigenvalues.real))
         ev = self.eigenvalues[order]
-        mult = self.multiplicities[order]
-        starts = np.flatnonzero(np.r_[True, np.abs(np.diff(ev)) > merge_tol])
-        counts = np.add.reduceat(mult, starts)
-        first = ev[starts]
-        lengths = np.diff(np.r_[starts, ev.size])
-        exact = np.logical_and.reduceat(ev == np.repeat(first, lengths), starts)
-        mean = np.add.reduceat(ev * mult, starts) / counts
+        starts = np.flatnonzero(np.r_[True, np.diff(ev) != 0])
         return DeformationSpectrum(
-            np.where(exact, first, mean), counts, self.n
+            ev[starts], np.add.reduceat(self.multiplicities[order], starts), self.n
         )
 
     def expand(self) -> np.ndarray:

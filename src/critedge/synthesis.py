@@ -30,9 +30,11 @@ __all__ = [
 FRAK_C = 6.0
 JITTER = 0.003
 ATTEMPTS = 25
+# residual norm at which the anchor Newton solve stops
+ANCHOR_TOL = 1e-14
 
 
-def _anchor_solve(units, starts, mass_l, mass_r, chi, tol=1e-14):
+def _anchor_solve(units, starts, mass_l, mass_r, chi):
     """Place two anchors so the combined configuration is critical.
 
     Damped Newton on the two complex trace equations, retried from each
@@ -47,7 +49,7 @@ def _anchor_solve(units, starts, mass_l, mass_r, chi, tol=1e-14):
             lambda y: anchor_residual(y, 0j, 0j, chi, p, q),
             lambda y: anchor_jacobian(y, 0j, 0j, chi, p),
             realify(start_l, start_r),
-            tol,
+            ANCHOR_TOL,
         )
         if ok:
             return unrealify(y)

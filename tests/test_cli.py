@@ -71,6 +71,7 @@ def test_missing_file_exits_2(capsys):
     assert cli.main(["analyze", "/nonexistent/spectrum.json"]) == 2
 
 
+
 # -------------------------------------------------------------------- flow
 
 
@@ -129,7 +130,7 @@ def test_flow_real_spectrum_routes_to_hermitian(tmp_path):
     from critedge.flow import FlowPath
 
     path = FlowPath.load_jsonl(path_file)
-    assert path.final.canonical(1e-10).eigenvalues.size == 2
+    assert path.final.canonical().eigenvalues.size == 2
 
 
 def test_flow_non_critical_exits_1(tmp_path, capsys):
@@ -360,10 +361,12 @@ def test_runconfig_serialize_roundtrip(tmp_path):
         (["flow", "SPEC", "--frak-c1", "0.5"], "flow without --check does not read --frak-c1"),
         (["flow", "--check", "PATH", "--frak-c-small", "-1"], "unrecognized arguments"),
         (["simulate", "SPEC", "--statistic", "radius", "--n", "64"], "unrecognized arguments"),
+        (["simulate", "SPEC", "--statistic", "sv-tail", "--delta", "0.1"],
+         "unrecognized arguments"),
     ],
     ids=["analyze-grid", "flow-trials", "simulate-frak-c", "compare-seed",
          "flow-check-build-flags", "flow-check-spectrum", "flow-build-frak-c1",
-         "flow-check-frak-c-small", "simulate-n"],
+         "flow-check-frak-c-small", "simulate-n", "simulate-delta"],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(pm_file, tmp_path, argv, message, capsys):
     names = {"SPEC": pm_file, "PATH": str(tmp_path / "p.jsonl"),
@@ -380,5 +383,3 @@ def test_runconfig_rejects_bad_values():
         cli.RunConfig(trials=0)
     with pytest.raises(ConfigError):
         cli.RunConfig(model="wishart")
-    with pytest.raises(ConfigError):
-        cli.RunConfig(delta=1.5)

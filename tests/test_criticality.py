@@ -152,7 +152,7 @@ def test_splitting_a_multiplicity_changes_nothing(seed, frac):
     split = DeformationSpectrum(
         np.append(a.eigenvalues, a.eigenvalues[j]), np.append(mult, m - part), a.n
     )
-    c, cs = a.canonical(0.0), split.canonical(0.0)
+    c, cs = a.canonical(), split.canonical()
     assert np.array_equal(c.eigenvalues.view(float), cs.eigenvalues.view(float))
     assert np.array_equal(c.multiplicities, cs.multiplicities)
     for k in range(-3, 4):

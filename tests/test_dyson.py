@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critedge.criticality import verify_criticality
 from critedge.dyson import (
     BATCH_FIELDS,
     cubic_residual,
@@ -140,16 +139,15 @@ def test_edge_exponent_outside_support(pm_spectrum):
 
 
 def test_cubic_residual_scaling(pm_spectrum):
-    rep = verify_criticality(pm_spectrum)
     etas = np.geomspace(1e-9, 1e-3, 9)
-    res = np.array([cubic_residual(pm_spectrum, rep, eta=e) for e in etas])
+    res = np.array([cubic_residual(pm_spectrum, eta=e) for e in etas])
     slope = np.polyfit(np.log(etas), np.log(res), 1)[0]
     assert slope >= 1.3
 
 
 def test_flow_scalings_identities():
     spec = quartet_deformation(0.5, 400)
-    sc = flow_scalings(spec, n=400, delta=0.05)
+    sc = flow_scalings(spec)
     assert sc.eta_t == pytest.approx(sc.eta_infinity / sc.c_t, rel=1e-14)
     assert sc.c_t == pytest.approx(sc.i4 ** (-0.25), rel=1e-14)
     assert abs(abs(sc.gamma_t) - sc.i4**0.25) <= 1e-14
@@ -158,9 +156,8 @@ def test_flow_scalings_identities():
 
 def test_rescaled_cubic_law_small():
     spec = quartet_deformation(0.5, 400)
-    sc = flow_scalings(spec, n=400)
     for w in (0.0, 0.5 + 0.2j, -1.0 + 0.8j):
-        assert rescaled_cubic_residual(spec, w, sc) <= 50.0 / 400.0
+        assert rescaled_cubic_residual(spec, w) <= 50.0 / 400.0
 
 
 @given(st.integers(min_value=0, max_value=10**6))

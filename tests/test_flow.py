@@ -41,6 +41,9 @@ from critedge.synthesis import (
 
 # ---------------------------------------------------------------- shrink
 
+# the grid of a 257-point flow
+GRID = np.linspace(0.0, 1.0, 257)
+
 
 def cluster_pair(h):
     rng = np.random.default_rng(42)
@@ -59,12 +62,11 @@ def pair_traces_of(u1, u2, chi):
 def test_shrink_conserves_both_traces_along_the_whole_flow():
     v1, v2, z1, z2 = cluster_pair(0.05)
     chi = 0.3
-    grid = np.linspace(0.0, 1.0, 257)
-    flow1, flow2, cont = shrink_clusters(v1, v2, z1, z2, chi)
-    assert flow1.shape == (grid.size, 3) and flow2.shape == (grid.size, 2)
-    assert cont.shifts.shape == (grid.size, 2)
+    flow1, flow2, cont = shrink_clusters(v1, v2, z1, z2, chi, GRID)
+    assert flow1.shape == (GRID.size, 3) and flow2.shape == (GRID.size, 2)
+    assert cont.shifts.shape == (GRID.size, 2)
     f1_0, f2_0 = pair_traces_of(v1, v2, chi)
-    for k in range(grid.size):
+    for k in range(GRID.size):
         f1, f2 = pair_traces_of(flow1[k], flow2[k], chi)
         assert abs(f1 - f1_0) < 1e-12
         assert abs(f2 - f2_0) < 1e-12
@@ -86,7 +88,7 @@ def test_shrink_center_correction_is_second_order_in_the_radius():
     off2 -= off2.mean()
     sizes = []
     for h in (0.08, 0.04):
-        flow1, flow2, _ = shrink_clusters(z1 + h * off1, z2 + h * off2, z1, z2, 0.3)
+        flow1, flow2, _ = shrink_clusters(z1 + h * off1, z2 + h * off2, z1, z2, 0.3, GRID)
         sizes.append(max(abs(flow1[-1, 0] - z1), abs(flow2[-1, 0] - z2)))
     assert sizes[1] < sizes[0] / 3.5
 
@@ -94,7 +96,7 @@ def test_shrink_center_correction_is_second_order_in_the_radius():
 def test_shrink_final_centers_match_independent_root_solve():
     v1, v2, z1, z2 = cluster_pair(0.05)
     chi = 0.3
-    flow1, flow2, _ = shrink_clusters(v1, v2, z1, z2, chi)
+    flow1, flow2, _ = shrink_clusters(v1, v2, z1, z2, chi, GRID)
     target = realify(*pair_traces_of(v1, v2, chi))
 
     def equations(w):
@@ -111,9 +113,9 @@ def test_shrink_final_centers_match_independent_root_solve():
 
 def test_shrink_rejects_empty_cluster_and_bad_grid():
     with pytest.raises(ConditionViolated):
-        shrink_clusters([], [1.0], 0.5, -0.5, 0.2)
+        shrink_clusters([], [1.0], 0.5, -0.5, 0.2, GRID)
     with pytest.raises(ConditionViolated):
-        shrink_clusters([1.0], [-1.0], 1.0, -1.0, 0.2, grid=[0.0, 0.4, 0.3, 1.0])
+        shrink_clusters([1.0], [-1.0], 1.0, -1.0, 0.2, [0.0, 0.4, 0.3, 1.0])
 
 
 def test_exhausted_certificate_chain_raises_chain_exhausted():
@@ -236,8 +238,8 @@ def test_independent_count_target_snaps_and_stays_critical():
 
 
 def assert_ends_on_count_target(path, b0):
-    end = path.final.canonical(0.0)
-    want = independent_count_target(b0).canonical(0.0)
+    end = path.final.canonical()
+    want = independent_count_target(b0).canonical()
     assert np.array_equal(end.eigenvalues, want.eigenvalues)
     assert np.array_equal(end.multiplicities, want.multiplicities)
 
@@ -282,7 +284,7 @@ def test_fix_leg_keeps_a_repaired_site_paired_with_itself():
     cfg = FlowConfig(grid_points=65)
     b0 = finite_support_flow(random_inverse_critical(49, n=400), 6.0, cfg).final
     z0, z1, n0, n1 = _count_target_sites(b0)
-    assert z0.size == b0.canonical(0.0).eigenvalues.size
+    assert z0.size == b0.canonical().eigenvalues.size
     repaired = np.flatnonzero(z0 != z1)
     assert repaired.size == 2 and np.all(n1[repaired] > 0)
     assert (73, 70) in {(n0[k], n1[k]) for k in repaired}
@@ -317,7 +319,7 @@ def test_fix_leg_moves_a_far_repaired_site_as_a_new_site():
 def test_hermitian_flow_collapses_to_two_points():
     b = random_real_critical(7)
     path = hermitian_flow(b, 6.0)
-    final = path.final.canonical(1e-10)
+    final = path.final.canonical()
     assert final.eigenvalues.size == 2
     x = np.sort(final.eigenvalues.real)
     n_pos = float(b.multiplicities[b.eigenvalues.real > 0].sum())
@@ -346,8 +348,8 @@ def test_derive_b0_then_lift_recovers_the_deformation():
     assert skew3.real > -1e-12
     path = finite_support_flow(b, 6.0)
     lifted = lift_to_deformation(path, phi)
-    a0 = lifted.initial.canonical(0.0)
-    aa = a.canonical(0.0)
+    a0 = lifted.initial.canonical()
+    aa = a.canonical()
     assert np.max(np.abs(a0.eigenvalues - aa.eigenvalues)) < 1e-10
     # every lifted state keeps tr |A_t|^-2 = 1
     for s in lifted.states[:: max(1, len(lifted.states) // 16)]:
@@ -399,7 +401,7 @@ def test_path_jsonl_roundtrip_and_concat():
     joined = p1.concat(p2)
     assert joined.grid[0] == 0.0 and joined.grid[-1] == 1.0
     assert "concat-junction" in joined.segment_kind
-    assert joined.final.canonical(0.0).eigenvalues.size == target.canonical(0.0).eigenvalues.size
+    assert joined.final.canonical().eigenvalues.size == target.canonical().eigenvalues.size
 
     import tempfile, os
 
@@ -425,6 +427,7 @@ def test_path_jsonl_without_segment_kinds_is_refused(tmp_path):
     # an unlabelled path is not silently relabelled as a shrink
     with pytest.raises(ValueError, match="segment kinds"):
         FlowPath.load_jsonl(fn)
+
 
 
 def test_concat_refuses_mismatched_junction():

@@ -319,7 +319,7 @@ def test_eta_log_identity_matches_closed_form(eta_log_identity):
 def test_log_det_statistic_finite_and_deterministic():
     spec = quartet_deformation(0.4, n=48)
     rep = verify_criticality(spec)
-    sc = flow_scalings(spec, 48)
+    sc = flow_scalings(spec)
     x = sample_matrix("ginibre", 48, seed=6)
     a = log_det_statistic(spec, x, w=0.3 + 0.2j, scalings=sc)
     b = log_det_statistic(spec, x, w=0.3 + 0.2j, scalings=sc)
@@ -354,7 +354,7 @@ def svd_panel_rule(spec, xs, w, sc, bisect_v) -> list[float]:
 @pytest.mark.parametrize("w", [0.0, 0.5 + 0.5j, -1.0j])
 def test_log_det_statistic_matches_panel_rule_with_oracle_v(w, bisect_v):
     spec = quartet_deformation(0.4, n=48)
-    sc = flow_scalings(spec, 48)
+    sc = flow_scalings(spec)
     x = sample_matrix("ginibre", 48, seed=6)
     (expected,) = svd_panel_rule(spec, [x], w, sc, bisect_v)
     assert abs(log_det_statistic(spec, x, w, sc) - expected) <= 1e-10
@@ -377,7 +377,7 @@ def test_log_det_statistic_matches_svd_panel_rule_at_n400(synth, bisect_v):
 
 def test_log_det_statistic_takes_no_singular_values(monkeypatch):
     spec = quartet_deformation(0.4, n=48)
-    sc = flow_scalings(spec, 48)
+    sc = flow_scalings(spec)
     x = sample_matrix("ginibre", 48, seed=6)
     expected = log_det_statistic(spec, x, 0.5 + 0.5j, sc)
 
@@ -391,7 +391,7 @@ def test_log_det_statistic_takes_no_singular_values(monkeypatch):
 
 def test_log_det_statistic_typed_errors(monkeypatch):
     spec = quartet_deformation(0.4, n=48)
-    sc = flow_scalings(spec, 48)
+    sc = flow_scalings(spec)
     x = sample_matrix("ginibre", 48, seed=6)
     with pytest.raises(DimensionMismatch):
         log_det_statistic(spec, x[:47, :47], 0.0, sc)

@@ -56,19 +56,10 @@ def test_canonical_merges_exact_duplicates_bitwise():
     # repeated identical values must merge without perturbing the value
     v = 0.1 + 0.2j
     s = DeformationSpectrum(np.array([v, v, v]), np.array([2, 3, 5]), 10)
-    c = s.canonical(merge_tol=1e-9)
+    c = s.canonical()
     assert c.eigenvalues.size == 1
     assert c.eigenvalues[0] == v
     assert c.multiplicities[0] == 10
-
-
-def test_canonical_weighted_mean_for_distinct_values():
-    s = DeformationSpectrum(
-        np.array([1.0 + 0j, 1.0 + 1e-12j]), np.array([1, 3]), 4
-    )
-    c = s.canonical(merge_tol=1e-9)
-    assert c.eigenvalues.size == 1
-    assert c.eigenvalues[0] == pytest.approx(1.0 + 0.75e-12j)
 
 
 def test_canonical_preserves_moments():
@@ -76,7 +67,7 @@ def test_canonical_preserves_moments():
     vals = rng.normal(size=6) + 1j * rng.normal(size=6)
     vals[3] = vals[0]  # force a duplicate out of sort order
     s = DeformationSpectrum(vals, np.array([1, 2, 3, 4, 5, 5]), 20)
-    c = s.canonical(merge_tol=0.0)
+    c = s.canonical()
     assert c.multiplicities.sum() == 20
     assert np.sum(s.expand()) == pytest.approx(np.sum(c.expand()))
 
@@ -87,53 +78,39 @@ def test_canonical_idempotent(k, seed):
     vals = rng.normal(size=k) + 1j * rng.normal(size=k)
     mult = rng.integers(1, 5, size=k)
     s = DeformationSpectrum(vals, mult, int(mult.sum()))
-    c1 = s.canonical(merge_tol=1e-8)
-    c2 = c1.canonical(merge_tol=1e-8)
+    c1 = s.canonical()
+    c2 = c1.canonical()
     assert np.array_equal(c1.eigenvalues, c2.eigenvalues)
     assert np.array_equal(c1.multiplicities, c2.multiplicities)
 
 
-def canonical_loop(s: DeformationSpectrum, merge_tol: float) -> DeformationSpectrum:
+def canonical_loop(s: DeformationSpectrum) -> DeformationSpectrum:
     """Entry-by-entry reference for DeformationSpectrum.canonical."""
     order = np.lexsort((s.eigenvalues.imag, s.eigenvalues.real))
-    runs = []
-    for z, m in zip(s.eigenvalues[order], s.multiplicities[order]):
-        if runs and abs(z - runs[-1][-1][0]) <= merge_tol:
-            runs[-1].append((z, m))
-        else:
-            runs.append([(z, m)])
     vals, mult = [], []
-    for run in runs:
-        tot = sum(int(m) for _, m in run)
-        same = all(z == run[0][0] for z, _ in run)
-        vals.append(run[0][0] if same else sum(z * m for z, m in run) / tot)
-        mult.append(tot)
+    for z, m in zip(s.eigenvalues[order], s.multiplicities[order]):
+        if vals and z == vals[-1]:
+            mult[-1] += int(m)
+        else:
+            vals.append(z)
+            mult.append(int(m))
     return DeformationSpectrum(np.array(vals), np.array(mult), s.n)
 
 
-@given(
-    st.integers(min_value=1, max_value=40),
-    st.integers(min_value=0, max_value=2**32),
-    st.sampled_from([0.0, 1e-9, 0.3]),
-)
-def test_canonical_matches_the_loop_reference(k, seed, merge_tol):
-    # values from a small pool, some nudged, so runs of exact and of
-    # near duplicates both occur
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
+def test_canonical_matches_the_loop_reference(k, seed):
+    # values from a small pool, some nudged, so runs of exact duplicates
+    # sit next to near duplicates that must stay apart
     rng = np.random.default_rng(seed)
     pool = rng.normal(size=4) + 1j * rng.normal(size=4)
     vals = pool[rng.integers(0, 4, size=k)]
     vals[rng.random(k) < 0.3] += 1e-12 * (1 + 1j)
     mult = rng.integers(1, 5, size=k)
     s = DeformationSpectrum(vals, mult, int(mult.sum()))
-    got, want = s.canonical(merge_tol), canonical_loop(s, merge_tol)
+    got, want = s.canonical(), canonical_loop(s)
     assert np.array_equal(got.multiplicities, want.multiplicities)
-    if merge_tol == 0.0:
-        # runs of exact duplicates keep their value bit for bit
-        assert np.array_equal(got.eigenvalues.view(float), want.eigenvalues.view(float))
-    else:
-        # the weighted mean of a merged run sums in another order: at most
-        # 40 terms of modulus below 10, a few ulps each
-        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-13)
+    # runs of exact duplicates keep their value bit for bit
+    assert np.array_equal(got.eigenvalues.view(float), want.eigenvalues.view(float))
 
 
 @given(
