@@ -19,7 +19,7 @@ import numpy as np
 from . import spectra
 from .criticality import verify_criticality
 from .dyson import ETA_DELTA
-from .errors import ConditionViolated, ConfigError, CritEdgeError, ZeroEigenvalue
+from .errors import ConditionViolated, ConfigError, CritEdgeError, DimensionMismatch, ZeroEigenvalue
 from .flow import (
     FlowConfig,
     FlowPath,
@@ -128,7 +128,7 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-_READ_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError)
+_READ_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, DimensionMismatch)
 
 
 def _load_spectrum(path: str) -> DeformationSpectrum:
@@ -306,8 +306,12 @@ def _load_summary(path: str) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read statistics {path}: {exc}") from exc
-    if "value" not in data or "std_error" not in data:
-        raise ConfigError(f"{path} lacks value/std_error fields")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} lacks value/std_error fields: it holds no JSON object")
+    for key in ("value", "std_error"):
+        x = data.get(key)
+        if type(x) not in (int, float) or not np.isfinite(x):
+            raise ConfigError(f"{path} lacks value/std_error fields: {key} is {x!r}")
     return data
 
 

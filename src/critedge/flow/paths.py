@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..criticality import PHASE_FLOOR, hessian_at_origin, shape_alpha
-from ..errors import ResidualExceeded, ZeroEigenvalue
+from ..errors import DimensionMismatch, ResidualExceeded, ZeroEigenvalue
 from ..spectrum import DeformationSpectrum
 
 __all__ = [
@@ -120,37 +120,45 @@ class FlowPath:
 
     @classmethod
     def load_jsonl(cls, path) -> "FlowPath":
-        """Read a path written by :meth:`save_jsonl`; ValueError or KeyError
-        on a malformed file, never a guessed field."""
+        """Read a path written by :meth:`save_jsonl`.
+
+        Every row holds every field, all states share the n of the first,
+        the first row's segment_kind is null and every later row's is one
+        of SEGMENT_KINDS.  A malformed file raises ValueError, never a
+        guessed field.
+        """
         grid, states, derivs, rc, rx, kinds = [], [], [], [], [], []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 row = json.loads(line)
-                grid.append(float(row["t"]))
-                vals = np.array([complex(re, im) for re, im in row["eigenvalues"]])
-                mult = np.array(row["multiplicities"], dtype=np.int64)
-                states.append(
-                    DeformationSpectrum(vals, mult, int(mult.sum()))
-                )
-                derivs.append(float(row["deriv_max"]))
-                rc.append(float(row["residual_crit"]))
-                rx.append(float(row["residual_chi"]))
-                if row.get("segment_kind") is not None:
-                    kinds.append(row["segment_kind"])
-        if len(kinds) != len(grid) - 1:
-            raise ValueError(
-                f"{len(kinds)} segment kinds for {len(grid) - 1} grid intervals"
-            )
+                try:
+                    kind = row["segment_kind"]
+                    grid.append(float(row["t"]))
+                    vals = np.array([complex(re, im) for re, im in row["eigenvalues"]])
+                    mult = np.array(row["multiplicities"], dtype=np.int64)
+                    n = states[0].n if states else int(mult.sum())
+                    states.append(DeformationSpectrum(vals, mult, n))
+                    derivs.append(float(row["deriv_max"]))
+                    rc.append(float(row["residual_crit"]))
+                    rx.append(float(row["residual_chi"]))
+                except (KeyError, TypeError, DimensionMismatch) as exc:
+                    raise ValueError(f"path line {lineno}: {exc!r}") from exc
+                allowed = SEGMENT_KINDS if len(states) > 1 else (None,)
+                if kind not in allowed:
+                    raise ValueError(
+                        f"path line {lineno}: segment_kind {kind!r} is not one of {allowed}"
+                    )
+                kinds.append(kind)
         return cls(
             grid=tuple(grid),
             states=tuple(states),
             derivatives=tuple(derivs),
             residual_crit=tuple(rc),
             residual_chi=tuple(rx),
-            segment_kind=tuple(kinds),
+            segment_kind=tuple(kinds[1:]),
         )
 
 

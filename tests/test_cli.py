@@ -8,6 +8,7 @@ import pytest
 
 from critedge import cli
 from critedge.errors import ConfigError
+from critedge.flow import hermitian_flow
 from critedge.spectrum import DeformationSpectrum
 from critedge.synthesis import (
     quartet_deformation,
@@ -70,6 +71,18 @@ def test_analyze_zero_eigenvalue_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     assert cli.main(["analyze", "/nonexistent/spectrum.json"]) == 2
 
+
+@pytest.mark.parametrize("edit", [{"n": None}, {"n": 99}], ids=["no-n", "counts-off-n"])
+def test_analyze_malformed_spectrum_exits_2(pm_file, capsys, edit):
+    # exit 1 means "not critical"; a file that holds no spectrum is a usage error
+    with open(pm_file) as fh:
+        data = json.load(fh)
+    data.update(edit)
+    data = {k: v for k, v in data.items() if v is not None}
+    with open(pm_file, "w") as fh:
+        json.dump(data, fh)
+    assert cli.main(["analyze", pm_file]) == 2
+    assert "cannot read spectrum" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- flow
@@ -219,6 +232,18 @@ def test_simulate_from_path_endpoint(tmp_path):
     assert summary["value"] == 1.0  # every smallest sv sits below eta = 10
 
 
+def test_flow_check_refuses_states_of_different_n(tmp_path, capsys):
+    path_file = tmp_path / "p.jsonl"
+    hermitian_flow(random_real_critical(7, n=10), 6.0, grid_points=3).save_jsonl(path_file)
+    rows = [json.loads(line) for line in path_file.read_text().splitlines()]
+    rows[1]["multiplicities"][0] += 2
+    path_file.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert cli.main(["flow", "--check", str(path_file)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read path" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [["flow", "--check"], ["simulate"]])
 def test_malformed_path_file_exits_2(tmp_path, capsys, command):
     path_file = tmp_path / "path.jsonl"
@@ -249,6 +274,19 @@ def test_compare_refuses_girko_summaries(tmp_path, capsys):
         "--out", str(out),
     ])
     assert rc == 2
+    assert "lacks value/std_error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content", ["3.0", '{"value": "abc", "std_error": 0.1}'], ids=["bare-number", "text-value"]
+)
+def test_compare_malformed_summary_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    good = write_summary(tmp_path / "good.json", 1.0, 0.1)
+    out = tmp_path / "verdict.json"
+    assert cli.main(["compare", str(bad), good, "--out", str(out)]) == 2
     assert "lacks value/std_error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -425,9 +425,40 @@ def test_path_jsonl_without_segment_kinds_is_refused(tmp_path):
         row.pop("segment_kind")
     fn.write_text("".join(json.dumps(row) + "\n" for row in rows))
     # an unlabelled path is not silently relabelled as a shrink
-    with pytest.raises(ValueError, match="segment kinds"):
+    with pytest.raises(ValueError, match="segment_kind"):
         FlowPath.load_jsonl(fn)
 
+
+def shift_kinds(rows):
+    # every kind one row early: the first row labelled, the last row unlabelled
+    for row, nxt in zip(rows, rows[1:]):
+        row["segment_kind"] = nxt["segment_kind"]
+    rows[-1].pop("segment_kind")
+
+
+def mixed_n(rows):
+    rows[1]["multiplicities"][0] += 2
+
+
+def no_eigenvalues(rows):
+    rows[2]["eigenvalues"], rows[2]["multiplicities"] = [], []
+
+
+def unknown_kind(rows):
+    rows[3]["segment_kind"] = "stretch"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [shift_kinds, mixed_n, no_eigenvalues, unknown_kind], ids=lambda f: f.__name__
+)
+def test_path_jsonl_is_read_strictly(tmp_path, corrupt):
+    fn = tmp_path / "path.jsonl"
+    hermitian_flow(random_real_critical(7, n=80), 6.0, grid_points=5).save_jsonl(fn)
+    rows = [json.loads(line) for line in fn.read_text().splitlines()]
+    corrupt(rows)
+    fn.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match="path line"):
+        FlowPath.load_jsonl(fn)
 
 
 def test_concat_refuses_mismatched_junction():
