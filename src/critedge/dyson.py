@@ -85,8 +85,6 @@ class FullMdeSolution:
 class FlowScalings:
     """Rescaling constants attached to one flow time."""
 
-    n: int
-    delta: float
     i4: float
     c_t: float
     gamma_t: complex
@@ -298,15 +296,12 @@ def flow_scalings(spec: DeformationSpectrum) -> FlowScalings:
     the large Hessian eigendirection, matching the scaling factor used for
     eigenvalue clouds.
     """
-    n = spec.n
     i4 = spec.moment(-2, -2)
     _, _, theta = _eigs_of_hessian(hessian_at_origin(spec))
     c_t = i4 ** (-0.25)
     gamma_t = complex(i4**0.25 * np.exp(1j * theta))
-    eta_inf = float(n) ** (-0.75 - ETA_DELTA)
+    eta_inf = float(spec.n) ** (-0.75 - ETA_DELTA)
     return FlowScalings(
-        n=int(n),
-        delta=ETA_DELTA,
         i4=float(i4),
         c_t=float(c_t),
         gamma_t=gamma_t,
@@ -333,8 +328,8 @@ def rescaled_cubic_residual(spec: DeformationSpectrum, w: complex) -> float:
     lam1, lam2, _ = _eigs_of_hessian(hessian_at_origin(spec))
     alpha = lam2 / lam1
     gamma_density = 2.0 * sc.gamma_t
-    z_w = complex(w / (gamma_density * sc.n**0.25))
+    z_w = complex(w / (gamma_density * spec.n**0.25))
     sol = solve_v_scalar(spec, z_w, sc.eta_t)
     u = sc.i4**0.25 * sol.v
     quad = 0.5 * ((w.real**2 + alpha * w.imag**2) / (1.0 + alpha))
-    return abs(u**3 - quad * u / np.sqrt(sc.n) - sc.eta_infinity)
+    return abs(u**3 - quad * u / np.sqrt(spec.n) - sc.eta_infinity)
