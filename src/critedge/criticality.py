@@ -26,6 +26,8 @@ __all__ = [
     "scaling_gamma",
     "density_quadratic",
     "chi",
+    "chi_from_traces",
+    "hessian_from_traces",
     "alpha_from_chi",
 ]
 
@@ -42,13 +44,13 @@ PHASE_FLOOR = 1e-12
 
 
 def hessian_at_origin(spec: DeformationSpectrum) -> np.ndarray:
-    """Hessian of (x, y) -> tr |A - x - iy|^-2 at the origin.
+    """Hessian of (x, y) -> tr |A - x - iy|^-2 at the origin."""
+    return hessian_from_traces(*spec.moments(((-3, -1), (-2, -2))))
 
-    ``[[4 Re R + 2 T, -4 Im R], [-4 Im R, -4 Re R + 2 T]]`` with the
-    normalised traces R = tr A^-3 (A*)^-1 and T = tr |A|^-4.
-    """
-    r = spec.moment(-3, -1)
-    t = spec.moment(-2, -2)
+
+def hessian_from_traces(r: complex, t: float) -> np.ndarray:
+    """``[[4 Re R + 2 T, -4 Im R], [-4 Im R, -4 Re R + 2 T]]`` with the
+    normalised traces R = tr A^-3 (A*)^-1 and T = tr |A|^-4."""
     h11 = 4.0 * r.real + 2.0 * t
     h22 = -4.0 * r.real + 2.0 * t
     h12 = -4.0 * r.imag
@@ -113,7 +115,12 @@ def chi(spec: DeformationSpectrum) -> tuple[float, float]:
     inverse-and-rotate transform the imaginary part vanishes; it is exposed
     as a diagnostic rather than silently dropped.
     """
-    val = spec.moment(3, 1) / spec.moment(2, 2)
+    return chi_from_traces(*spec.moments(((3, 1), (2, 2))))
+
+
+def chi_from_traces(m31: complex, m22: float) -> tuple[float, float]:
+    """:func:`chi` from the traces tr(B^3 B*) and tr(|B^2|^2)."""
+    val = m31 / m22
     return float(val.real), float(val.imag)
 
 

@@ -158,8 +158,14 @@ def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid):
     f_target = realify(*cluster_traces(v, weights, chi, mass))
     x_dir = np.column_stack([d.real, d.imag]).ravel()  # dt of the realified entries
 
+    # v + t d depends on t alone and the solves revisit one t: keep the last
+    base_at: dict = {}
+
     def entries(t, w):
-        return v + t * d + np.repeat(unrealify(w), sizes)
+        if t not in base_at:
+            base_at.clear()
+            base_at[t] = v + t * d
+        return base_at[t] + np.repeat(unrealify(w), sizes)
 
     def residual(t, w):
         return realify(*cluster_traces(entries(t, w), weights, chi, mass)) - f_target

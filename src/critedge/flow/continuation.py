@@ -19,11 +19,12 @@ machinery once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..criticality import chi as chi_of
+from ..criticality import chi_from_traces
 from ..errors import (
     ChainExhausted,
     ConditionViolated,
@@ -77,10 +78,11 @@ def gate_inverse_side(frak_c: float, *specs, chi_max: float | None = None) -> No
             failures.append(
                 f"{tag}operator norms ({norm:.3g}, {inv_norm:.3g}) exceed {frak_c:.3g}"
             )
-        skew = abs(b.moment(2, 1))
+        m21, m31, m22 = b.moments(((2, 1), (3, 1), (2, 2)))
+        skew = abs(m21)
         if skew > TOL_PRE:
             failures.append(f"{tag}|tr B^2 B*| = {skew:.3e} exceeds {TOL_PRE:.1e}")
-        chi_re, chi_im = chi_of(b)
+        chi_re, chi_im = chi_from_traces(m31, m22)
         if abs(chi_im) > 1e-6 or not (-TOL_PRE <= chi_re <= chi_max + TOL_PRE):
             failures.append(
                 f"{tag}chi = {chi_re:.4g} (+{chi_im:.1e}i) outside [0, {chi_max:.4g}]"
@@ -118,7 +120,7 @@ def newton(residual, jacobian, y0, tol: float = TOL_SOLVE):
     """
     y = np.asarray(y0, dtype=float).copy()
     res = residual(y)
-    nrm = float(np.linalg.norm(res))
+    nrm = math.sqrt(res @ res)
     for _ in range(NEWTON_MAX_ITER):
         if nrm <= tol:
             break
@@ -129,7 +131,7 @@ def newton(residual, jacobian, y0, tol: float = TOL_SOLVE):
         for k in range(12):
             trial = y - 0.5**k * step
             trial_res = residual(trial)
-            trial_nrm = float(np.linalg.norm(trial_res))
+            trial_nrm = math.sqrt(trial_res @ trial_res)
             if trial_nrm < nrm:
                 break
         else:
@@ -255,8 +257,9 @@ def assemble_path(
     for vals, chi_t in zip(rows, chi_target):
         state = DeformationSpectrum(vals, counts, n).canonical()
         states.append(state)
-        residual_crit.append(abs(state.moment(2, 1)))
-        c_re, c_im = chi_of(state)
+        m21, m31, m22 = state.moments(((2, 1), (3, 1), (2, 2)))
+        residual_crit.append(abs(m21))
+        c_re, c_im = chi_from_traces(m31, m22)
         residual_chi.append(float(abs(complex(c_re, c_im) - chi_t)))
 
     per_interval = (np.abs(np.diff(rows, axis=0)) / np.diff(grid)[:, None]).max(axis=1)

@@ -18,6 +18,7 @@ halves per step and the solution map is Lipschitz with constant at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,14 +99,16 @@ def frozen_solve(f, j_inv, y, tol: float, max_iter: int):
     """
     y = np.asarray(y, dtype=float).copy()
     res = np.asarray(f(y), dtype=float)
+    nrm = math.sqrt(res @ res)
     steps = 0
     for _ in range(max_iter):
-        if float(np.linalg.norm(res)) <= tol:
+        if nrm <= tol:
             break
         y = y - j_inv @ res
         res = np.asarray(f(y), dtype=float)
+        nrm = math.sqrt(res @ res)
         steps += 1
-    return y, float(np.linalg.norm(res)), steps
+    return y, nrm, steps
 
 
 def quantitative_ift(problem: IftProblem, x_target: float, y0=None,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConditionViolated, SingularJacobian
-from ..spectrum import weighted_moment
+from ..spectrum import weighted_moments
 
 __all__ = [
     "PointMapValue",
@@ -149,9 +149,8 @@ def pair_jacobian(z1: complex, z2: complex, chi: float, p: float) -> np.ndarray:
 def cluster_traces(values, weights, chi: float, mass: float) -> tuple[complex, complex]:
     """Trace contributions of weighted sites, normalised by ``mass``:
     (sum w v^2 conj(v), sum w v^3 conj(v) - chi sum w |v|^4) / mass."""
-    f1 = weighted_moment(values, weights, 2, 1)
-    f2 = weighted_moment(values, weights, 3, 1) - chi * weighted_moment(values, weights, 2, 2)
-    return f1 / mass, f2 / mass
+    f1, m31, m22 = weighted_moments(values, weights, ((2, 1), (3, 1), (2, 2)))
+    return f1 / mass, (m31 - chi * m22) / mass
 
 
 def entry_jacobian(values, weights, chi: float, mass: float) -> np.ndarray:

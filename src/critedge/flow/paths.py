@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..criticality import PHASE_FLOOR, hessian_at_origin, shape_alpha
+from ..criticality import PHASE_FLOOR, hessian_from_traces, shape_alpha
 from ..errors import DimensionMismatch, ResidualExceeded, ZeroEigenvalue
 from ..spectrum import DeformationSpectrum
 
@@ -109,8 +109,8 @@ class FlowPath:
                 s = self.states[idx]
                 row = {
                     "t": t,
-                    "eigenvalues": [[v.real, v.imag] for v in s.eigenvalues],
-                    "multiplicities": [int(m) for m in s.multiplicities],
+                    "eigenvalues": s.eigenvalues.view(float).reshape(-1, 2).tolist(),
+                    "multiplicities": s.multiplicities.tolist(),
                     "residual_crit": self.residual_crit[idx],
                     "residual_chi": self.residual_chi[idx],
                     "deriv_max": self.derivatives[idx],
@@ -137,14 +137,17 @@ class FlowPath:
                 try:
                     kind = row["segment_kind"]
                     grid.append(float(row["t"]))
-                    vals = np.array([complex(re, im) for re, im in row["eigenvalues"]])
+                    pairs = np.array(row["eigenvalues"])
+                    if pairs.dtype.kind not in "fi" or pairs.ndim != 2 or pairs.shape[1] != 2:
+                        raise ValueError("eigenvalues must be a list of [re, im] number pairs")
+                    vals = pairs.astype(float, copy=False).view(complex)
                     mult = np.array(row["multiplicities"], dtype=np.int64)
                     n = states[0].n if states else int(mult.sum())
                     states.append(DeformationSpectrum(vals, mult, n))
                     derivs.append(float(row["deriv_max"]))
                     rc.append(float(row["residual_crit"]))
                     rx.append(float(row["residual_chi"]))
-                except (KeyError, TypeError, DimensionMismatch) as exc:
+                except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
                     raise ValueError(f"path line {lineno}: {exc!r}") from exc
                 allowed = SEGMENT_KINDS if len(states) > 1 else (None,)
                 if kind not in allowed:
@@ -251,8 +254,7 @@ def validate_assumption(path_a: FlowPath, frak_c1: float) -> AssumptionReport:
     alphas = []
     for idx, s in enumerate(path_a.states):
         norm_a, norm_inv = s.operator_norms()
-        inv2 = s.moment(-1, -1)
-        skew = s.moment(-2, -1)
+        inv2, skew, r, t = s.moments(((-1, -1), (-2, -1), (-3, -1), (-2, -2)))
         if norm_a > frak_c1 or norm_inv > frak_c1:
             failures.append(f"t={path_a.grid[idx]:.4f}: norms ({norm_a:.3g}, {norm_inv:.3g})")
         if abs(inv2 - 1.0) > CRIT_TOL or abs(skew) > CRIT_TOL:
@@ -260,7 +262,7 @@ def validate_assumption(path_a: FlowPath, frak_c1: float) -> AssumptionReport:
                 f"t={path_a.grid[idx]:.4f}: criticality residuals "
                 f"({abs(inv2 - 1.0):.2e}, {abs(skew):.2e})"
             )
-        alphas.append(shape_alpha(hessian_at_origin(s)))
+        alphas.append(shape_alpha(hessian_from_traces(r, t)))
 
     alpha_bound = float(n) ** (-FRAK_C_SMALL)
     deriv_bound = frak_c1 * np.log(n)

@@ -4,7 +4,7 @@ A deformation is a normal matrix known through its spectrum: distinct
 eigenvalues with integer multiplicities.  Every trace functional of a
 normal matrix in this package is a weighted moment
 sum_i w_i (v_i - s)^k conj(v_i - s)^l of that list, and
-:func:`weighted_moment` is the one place such a sum is evaluated, so the
+:func:`weighted_moments` is the one place such a sum is evaluated, so the
 ambient dimension enters only through the weights and through scaling laws.
 """
 
@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroEigenvalue
 
-__all__ = ["DeformationSpectrum", "weighted_moment"]
+__all__ = ["DeformationSpectrum", "weighted_moment", "weighted_moments"]
 
 # a spectrum is real when its imaginary parts are at most REAL_TOL * max(1, |A|)
 REAL_TOL = 1e-12
@@ -29,21 +30,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def weighted_moment(values, weights, k: int, l: int, shift: complex = 0.0):
-    """The trace moment sum_i w_i (v_i - s)^k conj(v_i - s)^l.
+def weighted_moments(values, weights, pairs, shift: complex = 0.0) -> list:
+    """The trace moments sum_i w_i (v_i - s)^k conj(v_i - s)^l, one per
+    (k, l) of ``pairs``, in one pass over the values.
 
-    With k == l the moment is real and returned as a float, evaluated as
-    |v - s|^(2k); otherwise it is returned as a complex.  A negative power
-    at a value equal to the shift raises ZeroEigenvalue.
+    A moment with k == l is real and returned as a float, evaluated as
+    |v - s|^(2k); any other is returned as a complex.  A negative power at
+    a value equal to the shift raises ZeroEigenvalue.
     """
-    d = np.asarray(values, dtype=complex) - shift
-    if min(k, l) < 0 and np.any(d == 0):
+    d = np.asarray(values, dtype=complex)
+    if shift:
+        d = d - shift
+    if min(map(min, pairs)) < 0 and np.any(d == 0):
         raise ZeroEigenvalue(f"shift {shift} coincides with an eigenvalue")
-    if k == l:
-        return float(np.sum(weights * np.abs(d) ** (2 * k)))
+    real = [k == l for k, l in pairs]
+    mod = np.abs(d) if any(real) else None
+    conj = None if all(real) else np.conj(d)
     # the weights multiply the finished product; the rounding order shows in
     # the last bits of every output
-    return complex(np.sum(weights * (d**k * np.conj(d) ** l)))
+    return [float((weights * mod ** (2 * k)).sum()) if k == l
+            else complex((weights * (d**k * conj**l)).sum()) for k, l in pairs]
+
+
+def weighted_moment(values, weights, k: int, l: int, shift: complex = 0.0):
+    """The one trace moment (k, l) of :func:`weighted_moments`."""
+    return weighted_moments(values, weights, ((k, l),), shift)[0]
 
 
 @dataclass(frozen=True)
@@ -118,14 +129,18 @@ class DeformationSpectrum:
 
     # -- weighted trace calculus --------------------------------------
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Multiplicities normalised to sum to one."""
-        return self.multiplicities / float(self.n)
+        """Multiplicities normalised to sum to one, computed once."""
+        return _readonly(self.multiplicities / float(self.n))
+
+    def moments(self, pairs, shift: complex = 0.0) -> list:
+        """The :meth:`moment` of each (k, l) of ``pairs``, in one pass."""
+        return weighted_moments(self.eigenvalues, self.weights, pairs, shift)
 
     def moment(self, k: int, l: int, shift: complex = 0.0):
-        """Normalised trace of (A - shift)^k (A - shift)*^l: see :func:`weighted_moment`."""
-        return weighted_moment(self.eigenvalues, self.weights, k, l, shift)
+        """Normalised trace of (A - shift)^k (A - shift)*^l: see :func:`weighted_moments`."""
+        return self.moments(((k, l),), shift)[0]
 
     def moduli(self) -> np.ndarray:
         return np.abs(self.eigenvalues)

@@ -244,11 +244,28 @@ def test_flow_check_refuses_states_of_different_n(tmp_path, capsys):
     assert captured.out == ""
 
 
+# a two-state path that is complete but for its first eigenvalues
+GOOD_ROW = {"t": 1.0, "eigenvalues": [[1.0, 0.0]], "multiplicities": [4], "residual_crit": 0.0,
+            "residual_chi": 0.0, "deriv_max": 0.0, "segment_kind": "fix"}
+BAD_EIGENVALUES = {
+    "triple": [[1.0, 0.0, 0.0]],
+    "single": [[1.0]],
+    "flat": [1.0, 0.0],
+    "strings": [["a", "b"]],
+    "numeric-strings": [["1.0", "0.0"]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("rows", [
+    [{"t": 0.0, "eigenvalues": [[1.0, 0.0]], "multiplicities": [4]}],  # no residuals, no kinds
+    *([{**GOOD_ROW, "t": 0.0, "segment_kind": None, "eigenvalues": bad}, GOOD_ROW]
+      for bad in BAD_EIGENVALUES.values()),
+], ids=["missing-fields", *BAD_EIGENVALUES])
 @pytest.mark.parametrize("command", [["flow", "--check"], ["simulate"]])
-def test_malformed_path_file_exits_2(tmp_path, capsys, command):
+def test_malformed_path_file_exits_2(tmp_path, capsys, command, rows):
     path_file = tmp_path / "path.jsonl"
-    row = {"t": 0.0, "eigenvalues": [[1.0, 0.0]], "multiplicities": [4]}
-    path_file.write_text(json.dumps(row) + "\n")  # no residuals, no kinds
+    path_file.write_text("".join(json.dumps(row) + "\n" for row in rows))
     assert cli.main([*command, str(path_file)]) == 2
     assert "cannot read path" in capsys.readouterr().err
 

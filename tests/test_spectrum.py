@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from critedge.errors import DimensionMismatch, ZeroEigenvalue
-from critedge.spectrum import DeformationSpectrum
+from critedge.spectrum import DeformationSpectrum, weighted_moments
 
 POWERS = st.integers(min_value=-3, max_value=3)
 
@@ -135,15 +135,45 @@ def test_moment_is_the_dense_trace(k, l, seed):
     assert isinstance(got, float) == (k == l)
 
 
+def one_pair_moment(values, weights, k, l, shift):
+    """The one-pair moment expression the multi-pair primitive must keep."""
+    d = np.asarray(values, dtype=complex) - shift
+    if k == l:
+        return float(np.sum(weights * np.abs(d) ** (2 * k)))
+    return complex(np.sum(weights * (d**k * np.conj(d) ** l)))
+
+
+@given(
+    st.lists(st.tuples(POWERS, POWERS), min_size=1, max_size=5),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_moments_equal_the_one_pair_expression_bitwise(pairs, zero_shift, seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 9))
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    weights = rng.integers(1, 5, size=size) / 10.0
+    shift = 0.0 if zero_shift else complex(rng.normal(), rng.normal())
+    got = weighted_moments(values, weights, pairs, shift)
+    assert len(got) == len(pairs)
+    for (k, l), value in zip(pairs, got):
+        want = one_pair_moment(values, weights, k, l, shift)
+        assert type(value) is type(want)
+        assert np.array_equal(np.array([value]).view(float), np.array([want]).view(float))
+
+
 @given(POWERS, POWERS)
 def test_moment_raises_only_for_negative_powers_at_a_zero(k, l):
     shift = 0.25 - 0.5j
     s = DeformationSpectrum(np.array([shift, shift + 1.0, shift - 2.0j]), np.array([2, 1, 1]), 4)
-    if min(k, l) < 0:
-        with pytest.raises(ZeroEigenvalue):
-            s.moment(k, l, shift)
-    else:
-        assert np.isfinite(s.moment(k, l, shift))
+    # the one-pair view and the multi-pair primitive, with (k, l) among others
+    calls = (lambda: s.moment(k, l, shift), lambda: s.moments(((1, 1), (k, l), (2, 1)), shift))
+    for call in calls:
+        if min(k, l) < 0:
+            with pytest.raises(ZeroEigenvalue):
+                call()
+        else:
+            assert np.all(np.isfinite(call()))
 
 
 def test_operator_norms(pm_spectrum):
