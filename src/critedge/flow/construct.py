@@ -32,6 +32,7 @@ distance at every grid point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ from ..errors import (
 )
 from ..spectrum import DeformationSpectrum, weighted_moment
 from .continuation import (
+    Continuation,
     anchor_jacobian,
     anchor_residual,
     assemble_path,
@@ -67,7 +69,7 @@ from .maps import (
     unrealify,
 )
 from .partition import match_partitions, verify_matching
-from .paths import FlowPath
+from .paths import FlowPath, stacked_runs
 
 __all__ = [
     "FlowConfig",
@@ -159,26 +161,32 @@ def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid):
     x_dir = np.column_stack([d.real, d.imag]).ravel()  # dt of the realified entries
 
     # v + t d depends on t alone and the solves revisit one t: keep the last
-    base_at: dict = {}
+    @functools.lru_cache(maxsize=1)
+    def base_at(t):
+        return v + t * d
 
     def entries(t, w):
-        if t not in base_at:
-            base_at.clear()
-            base_at[t] = v + t * d
-        return base_at[t] + np.repeat(unrealify(w), sizes)
+        return base_at(t) + np.repeat(unrealify(w), sizes)
 
     def residual(t, w):
         return realify(*cluster_traces(entries(t, w), weights, chi, mass)) - f_target
 
+    # the certificate takes jacobian and d_t at one (t, w) in turn: keep the last
+    @functools.lru_cache(maxsize=1)
+    def entry_at(t, w_bytes):
+        return entry_jacobian(entries(t, np.frombuffer(w_bytes)), weights, chi, mass)
+
     def jacobian(t, w):
         # a cluster's shift moves all its entries: sum its column pairs
-        entry = entry_jacobian(entries(t, w), weights, chi, mass).reshape(4, -1, 2)
-        return np.hstack([entry[:, :v1.size].sum(axis=1), entry[:, v1.size:].sum(axis=1)])
+        cols = entry_at(t, w.tobytes()).reshape(4, -1, 2)
+        return np.hstack([cols[:, :v1.size].sum(axis=1), cols[:, v1.size:].sum(axis=1)])
 
     def d_t(t, w):
-        return entry_jacobian(entries(t, w), weights, chi, mass) @ x_dir
+        return entry_at(t, w.tobytes()) @ x_dir
 
-    cont = continue_anchored(residual, jacobian, d_t, grid)
+    # with every entry on its center F(t, 0) = F(0, 0) = 0 for all t: no chain
+    cont = (continue_anchored(residual, jacobian, d_t, grid) if d.any()
+            else Continuation(np.zeros((grid.size, 2), dtype=complex), (), 0))
     flows = v + grid[:, None] * d
     flows[:, :v1.size] += cont.shifts[:, :1]
     flows[:, v1.size:] += cont.shifts[:, 1:]
@@ -379,7 +387,8 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
         flows[:, idx1], flows[:, idx2], cont = shrink_clusters(v1, v2, z1, z2, chi_re, grid)
         fallback += cont.fallback_steps
         max_shift = max(max_shift, float(np.max(np.abs(cont.shifts))))
-        worst = max(cont.certificates, key=lambda cert: cert["contraction"])
+        worst = max(cont.certificates, key=lambda cert: cert["contraction"],
+                    default={"contraction": 0.0, "c1": 0.0, "c2": 0.0})
         certs.append(
             {
                 "pairing": name,
@@ -414,7 +423,8 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
         support_final=int(support_final),
         frak_c1=max(
             frak_c,
-            max(max(s.moduli().max(), 1.0 / s.moduli().min()) for s in path.states),
+            max(max(m.max(), 1.0 / m.min())
+                for m in (np.abs(vals) for _, vals, _ in stacked_runs(path.states))),
         ) * (1 + 1e-12),
     )
     return path
@@ -593,13 +603,12 @@ def fix_spectrum_flow(b0: DeformationSpectrum, cfg: FlowConfig | None = None) ->
 
     # q depends on t alone and Newton evaluates the residual at one t many
     # times in a row, so the last t's q is kept
-    q_at: dict = {}
+    @functools.lru_cache(maxsize=1)
+    def q_at(t):
+        return cluster_traces(side_values(t), side_counts, chi_at(t), mass12)
 
     def residual(t, w):
-        if t not in q_at:
-            q_at.clear()
-            q_at[t] = cluster_traces(side_values(t), side_counts, chi_at(t), mass12)
-        return anchor_residual(w, z0[i1], z0[i2], chi_at(t), p, q_at[t])
+        return anchor_residual(w, z0[i1], z0[i2], chi_at(t), p, q_at(t))
 
     def jacobian(t, w):
         return anchor_jacobian(w, z0[i1], z0[i2], chi_at(t), p)

@@ -32,10 +32,10 @@ from ..errors import (
     NoConvergence,
     RadiusExceeded,
 )
-from ..spectrum import DeformationSpectrum
+from ..spectrum import canonical_rows, weighted_moments
 from .ift import IftProblem, frozen_solve, quantitative_ift
 from .maps import pair_jacobian, pair_traces, realify, unrealify
-from .paths import FlowPath
+from .paths import RUN_ROWS, FlowPath, stacked_runs
 
 __all__ = [
     "Continuation",
@@ -253,16 +253,20 @@ def assemble_path(
     grid = np.asarray(grid, dtype=float)
     rows = np.asarray(rows, dtype=complex)
     counts = np.asarray(counts, dtype=np.int64)
-    states, residual_crit, residual_chi = [], [], []
-    for vals, chi_t in zip(rows, chi_target):
-        state = DeformationSpectrum(vals, counts, n).canonical()
-        states.append(state)
-        m21, m31, m22 = state.moments(((2, 1), (3, 1), (2, 2)))
-        residual_crit.append(abs(m21))
-        c_re, c_im = chi_from_traces(m31, m22)
-        residual_chi.append(float(abs(complex(c_re, c_im) - chi_t)))
+    states, per_interval, residual_crit, residual_chi = [], [], [], []
+    for lo in range(0, grid.size, RUN_ROWS):
+        states += canonical_rows(rows[lo:lo + RUN_ROWS], counts, n)
+        ends = slice(lo, lo + RUN_ROWS + 1)
+        per_interval.append(
+            (np.abs(np.diff(rows[ends], axis=0)) / np.diff(grid[ends])[:, None]).max(axis=1))
+    per_interval = np.concatenate(per_interval)
+    for run, vals, weights in stacked_runs(states):
+        moments = weighted_moments(vals, weights, ((2, 1), (3, 1), (2, 2)))
+        for m21, m31, m22, chi_t in zip(*(m.tolist() for m in moments), chi_target[run]):
+            residual_crit.append(abs(m21))
+            c_re, c_im = chi_from_traces(m31, m22)
+            residual_chi.append(float(abs(complex(c_re, c_im) - chi_t)))
 
-    per_interval = (np.abs(np.diff(rows, axis=0)) / np.diff(grid)[:, None]).max(axis=1)
     derivs = np.empty(grid.size)
     derivs[0] = per_interval[0]
     derivs[-1] = per_interval[-1]

@@ -136,13 +136,13 @@ def quantitative_ift(problem: IftProblem, x_target: float, y0=None,
     c1 = max(1.0, float(np.linalg.norm(j0_inv, 2)))
 
     eye = np.eye(problem.dim_y)
-    contraction_max = 0.0
+    contractions = []
     c2 = 0.0
     for x, y in _sample_points(problem):
-        contraction_max = max(
-            contraction_max, float(np.linalg.norm(eye - j0_inv @ problem.d_y(x, y), 2))
-        )
-        c2 = max(c2, float(np.linalg.norm(problem.d_x(x, y))))
+        contractions.append(eye - j0_inv @ problem.d_y(x, y))
+        d_x = problem.d_x(x, y)
+        c2 = max(c2, math.sqrt(d_x @ d_x))
+    contraction_max = float(np.linalg.norm(contractions, 2, axis=(1, 2)).max())
     if contraction_max > 0.5 + CONTRACTION_SLACK:
         raise ContractionFailed(f"sampled contraction bound {contraction_max:.4f} exceeds 1/2")
 

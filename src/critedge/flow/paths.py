@@ -16,7 +16,7 @@ import numpy as np
 
 from ..criticality import PHASE_FLOOR, hessian_from_traces, shape_alpha
 from ..errors import DimensionMismatch, ResidualExceeded, ZeroEigenvalue
-from ..spectrum import DeformationSpectrum
+from ..spectrum import DeformationSpectrum, weighted_moments
 
 __all__ = [
     "FlowPath",
@@ -33,6 +33,8 @@ MATCH_TOL = 1e-10
 CRIT_TOL = 1e-8
 # validate_assumption bounds the alpha drift per unit time by n^(-FRAK_C_SMALL)
 FRAK_C_SMALL = 0.05
+# states per stacked run: bounds the run's (RUN_ROWS, sites) temporaries
+RUN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,19 @@ class FlowPath:
         )
 
 
+def stacked_runs(states):
+    """Runs of at most RUN_ROWS consecutive states with equal site counts:
+    yields (slice, eigenvalues, weights), the last two stacked (S, K)."""
+    sizes = [s.eigenvalues.size for s in states] + [0]
+    start = 0
+    for end in range(1, len(states) + 1):
+        if end - start == RUN_ROWS or sizes[end] != sizes[start]:
+            run = states[start:end]
+            yield (slice(start, end), np.stack([s.eigenvalues for s in run]),
+                   np.stack([s.weights for s in run]))
+            start = end
+
+
 def derive_b0(a: DeformationSpectrum) -> tuple[DeformationSpectrum, float]:
     """Inverse-side start matrix: B = e^{-i phi} A^{-1} eigenvalue-wise.
 
@@ -194,13 +209,13 @@ def lift_to_deformation(path_b: FlowPath, phi: float) -> FlowPath:
     tr |A_t|^-2 = 1 identically, and at t = 0 the construction inverts
     derive_b0 so A_0 is the original deformation up to roundoff.
     """
+    rot = np.exp(-1j * phi)
     states = []
-    for s in path_b.states:
-        vals = s.eigenvalues
+    for run, vals, weights in stacked_runs(path_b.states):
         if np.any(vals == 0):
             raise ZeroEigenvalue("inverse-side state has a zero eigenvalue")
-        scale = np.sqrt(s.moment(1, 1))
-        states.append(s.with_eigenvalues(np.exp(-1j * phi) * scale / vals))
+        lifted = rot * np.sqrt(weighted_moments(vals, weights, ((1, 1),))[0])[:, None] / vals
+        states.extend(s.with_eigenvalues(row) for s, row in zip(path_b.states[run], lifted))
     return FlowPath(
         grid=path_b.grid,
         states=tuple(states),
@@ -247,31 +262,33 @@ def validate_assumption(path_a: FlowPath, frak_c1: float) -> AssumptionReport:
     drift per unit time at most n^(-FRAK_C_SMALL) by finite differences;
     entrywise time derivative at most frak_c1 * log(n).  Junction
     (zero-length) intervals are skipped in the difference quotients.
-    Report-only: never raises.
+    A failed condition is reported, not raised; a state with a zero
+    eigenvalue, which has no inverse norm, raises ZeroEigenvalue.
     """
     n = path_a.states[0].n
     failures = []
     alphas = []
-    for idx, s in enumerate(path_a.states):
-        norm_a, norm_inv = s.operator_norms()
-        inv2, skew, r, t = s.moments(((-1, -1), (-2, -1), (-3, -1), (-2, -2)))
-        if norm_a > frak_c1 or norm_inv > frak_c1:
-            failures.append(f"t={path_a.grid[idx]:.4f}: norms ({norm_a:.3g}, {norm_inv:.3g})")
-        if abs(inv2 - 1.0) > CRIT_TOL or abs(skew) > CRIT_TOL:
-            failures.append(
-                f"t={path_a.grid[idx]:.4f}: criticality residuals "
-                f"({abs(inv2 - 1.0):.2e}, {abs(skew):.2e})"
-            )
-        alphas.append(shape_alpha(hessian_from_traces(r, t)))
+    for run, vals, weights in stacked_runs(path_a.states):
+        mods = np.abs(vals)
+        if np.any(mods == 0.0):
+            raise ZeroEigenvalue("zero eigenvalue has no inverse norm")
+        norms = zip(mods.max(axis=1).tolist(), (1.0 / mods.min(axis=1)).tolist())
+        moments = weighted_moments(vals, weights, ((-1, -1), (-2, -1), (-3, -1), (-2, -2)))
+        for t_k, (norm_a, norm_inv), inv2, skew, r, t in zip(
+                path_a.grid[run], norms, *(m.tolist() for m in moments)):
+            if norm_a > frak_c1 or norm_inv > frak_c1:
+                failures.append(f"t={t_k:.4f}: norms ({norm_a:.3g}, {norm_inv:.3g})")
+            if abs(inv2 - 1.0) > CRIT_TOL or abs(skew) > CRIT_TOL:
+                failures.append(
+                    f"t={t_k:.4f}: criticality residuals "
+                    f"({abs(inv2 - 1.0):.2e}, {abs(skew):.2e})"
+                )
+            alphas.append(shape_alpha(hessian_from_traces(r, t)))
 
     alpha_bound = float(n) ** (-FRAK_C_SMALL)
     deriv_bound = frak_c1 * np.log(n)
-    max_alpha_step = 0.0
-    for idx in range(len(path_a.grid) - 1):
-        dt = path_a.grid[idx + 1] - path_a.grid[idx]
-        if dt <= 0:
-            continue
-        max_alpha_step = max(max_alpha_step, abs(alphas[idx + 1] - alphas[idx]) / dt)
+    dt = np.diff(path_a.grid)
+    max_alpha_step = np.max(np.abs(np.diff(alphas))[dt > 0] / dt[dt > 0], initial=0.0)
     max_derivative = max(path_a.derivatives)
     passed = (
         not failures

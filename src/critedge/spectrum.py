@@ -36,7 +36,8 @@ def weighted_moments(values, weights, pairs, shift: complex = 0.0) -> list:
 
     A moment with k == l is real and returned as a float, evaluated as
     |v - s|^(2k); any other is returned as a complex.  A negative power at
-    a value equal to the shift raises ZeroEigenvalue.
+    a value equal to the shift raises ZeroEigenvalue.  Stacked (S, K) values
+    give each moment as an array of S, bit for bit the rows' own calls.
     """
     d = np.asarray(values, dtype=complex)
     if shift:
@@ -48,13 +49,27 @@ def weighted_moments(values, weights, pairs, shift: complex = 0.0) -> list:
     conj = None if all(real) else np.conj(d)
     # the weights multiply the finished product; the rounding order shows in
     # the last bits of every output
-    return [float((weights * mod ** (2 * k)).sum()) if k == l
-            else complex((weights * (d**k * conj**l)).sum()) for k, l in pairs]
+    sums = [(weights * mod ** (2 * k)).sum(-1) if k == l
+            else (weights * (d**k * conj**l)).sum(-1) for k, l in pairs]
+    if d.ndim > 1:
+        return sums
+    return [float(m) if k == l else complex(m) for m, (k, l) in zip(sums, pairs)]
 
 
 def weighted_moment(values, weights, k: int, l: int, shift: complex = 0.0):
     """The one trace moment (k, l) of :func:`weighted_moments`."""
     return weighted_moments(values, weights, ((k, l),), shift)[0]
+
+
+def canonical_rows(values, counts, n: int) -> list:
+    """The canonical spectrum of each row of (S, K) values, every row with
+    the K ``counts``: sorted lexicographically, exactly equal values merged
+    and their counts added; every value is kept bit for bit."""
+    order = np.lexsort((values.imag, values.real))
+    values = np.take_along_axis(values, order, axis=-1)
+    first = np.diff(values, prepend=np.nan) != 0
+    return [DeformationSpectrum(v[starts], np.add.reduceat(c, starts), n)
+            for v, c, starts in zip(values, counts[order], map(np.flatnonzero, first))]
 
 
 @dataclass(frozen=True)
@@ -163,14 +178,8 @@ class DeformationSpectrum:
         return DeformationSpectrum(ev, self.multiplicities, self.n)
 
     def canonical(self) -> "DeformationSpectrum":
-        """Sort lexicographically and merge exactly equal eigenvalues,
-        adding their multiplicities; every value is kept bit for bit."""
-        order = np.lexsort((self.eigenvalues.imag, self.eigenvalues.real))
-        ev = self.eigenvalues[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(ev) != 0])
-        return DeformationSpectrum(
-            ev[starts], np.add.reduceat(self.multiplicities[order], starts), self.n
-        )
+        """This spectrum in the form of :func:`canonical_rows`."""
+        return canonical_rows(self.eigenvalues[None], self.multiplicities, self.n)[0]
 
     def expand(self) -> np.ndarray:
         """Eigenvalues repeated according to multiplicity (length n)."""

@@ -3,7 +3,9 @@
 ``data/certificate_golden.json`` was written at commit 988e65e by running
 this module as a script, from ``random_inverse_critical(seed, n=80)`` for
 seed 0 and 3 through ``finite_support_flow(b, 6.0)`` -> ``fix_spectrum_flow``,
-both with ``FlowConfig(grid_points=65)``.
+both with ``FlowConfig(grid_points=65)``.  Three seed-3 shrink pairs sit on
+their centers already (d = 0), so they run no continuation: their entries
+were edited by hand to legs 0 and contraction 0.0, with nothing else moved.
 
 Certificates reach no output file, so this is what pins them.  The chain
 layout and everything the contraction sample decides must match exactly:

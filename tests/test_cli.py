@@ -61,10 +61,21 @@ def test_analyze_non_critical_exits_1(tmp_path):
     assert json.loads(out.read_text())["is_critical"] is False
 
 
-def test_analyze_zero_eigenvalue_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "flow-check"])
+def test_analyze_zero_eigenvalue_exits_2(tmp_path, capsys, command):
     spec = DeformationSpectrum(np.array([0.0 + 0j, 1.0 + 0j]), np.array([4, 4]), 8)
-    f = write_spectrum(tmp_path / "zero.json", spec)
-    assert cli.main(["analyze", f]) == 2
+    if command == "analyze":
+        argv = ["analyze", write_spectrum(tmp_path / "zero.json", spec)]
+    else:
+        # the path file loads; its second state has no inverse norm
+        path_file = tmp_path / "zero.jsonl"
+        rows = [{"t": t, "eigenvalues": ev, "multiplicities": [4, 4], "residual_crit": 0.0,
+                 "residual_chi": 0.0, "deriv_max": 0.0, "segment_kind": kind}
+                for t, ev, kind in ((0.0, [[-1.0, 0.0], [1.0, 0.0]], None),
+                                    (1.0, spec.to_json_dict()["eigenvalues"], "fix"))]
+        path_file.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = ["flow", "--check", str(path_file), "--frak-c1", "10"]
+    assert cli.main(argv) == 2
     assert "ZeroEigenvalue" in capsys.readouterr().err
 
 

@@ -1,6 +1,7 @@
 """End-to-end flow construction: shrinks, pipelines, lifts, audits."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from critedge.flow import (
     validate_assumption,
 )
 from critedge.flow.construct import DELTA_TV, _count_target_sites
-from critedge.flow.continuation import continue_anchored
+from critedge.flow.continuation import assemble_path, continue_anchored
 from critedge.flow.ift import CONTRACTION_SLACK
 from critedge.flow.maps import cluster_traces, realify
 from critedge.spectrum import DeformationSpectrum
@@ -118,6 +119,32 @@ def test_shrink_rejects_empty_cluster_and_bad_grid():
         shrink_clusters([1.0], [-1.0], 1.0, -1.0, 0.2, [0.0, 0.4, 0.3, 1.0])
 
 
+def test_shrink_of_clusters_on_their_centers_copies_the_rows():
+    # d = 0: the residual does not depend on t, so w = 0 is exact and no
+    # continuation runs
+    flow1, flow2, cont = shrink_clusters([0.5 + 0.25j] * 3, [-0.75j] * 2, 0.5 + 0.25j, -0.75j,
+                                         0.2, GRID)
+    assert cont.certificates == () and cont.fallback_steps == 0
+    assert np.all(flow1 == 0.5 + 0.25j) and np.all(flow2 == -0.75j)
+    assert flow1.shape == (GRID.size, 3) and flow2.shape == (GRID.size, 2)
+
+
+def test_assemble_path_keeps_its_temporaries_small():
+    # the grid rows are evaluated in blocks of RUN_ROWS: the whole 257 x 1600
+    # block at once would peak over 40 MB beyond the states it returns
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(257, 1600)) + 1j * rng.normal(size=(257, 1600))
+    tracemalloc.start()
+    try:
+        path = assemble_path(np.linspace(0.0, 1.0, 257), rows, np.ones(1600), 1600,
+                             np.full(257, 0.3), "shrink", {})
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(path.states) == 257
+    assert peak - kept < 6e6
+
+
 def test_exhausted_certificate_chain_raises_chain_exhausted():
     # D_w F swings by 2e9 |w|, so no box around the path contracts and the
     # chain bisects until it runs out of depth
@@ -151,7 +178,9 @@ def test_both_legs_pass_d_t_matching_central_differences(monkeypatch):
     leg1 = finite_support_flow(random_inverse_critical(9, n=80), 6.0, cfg)
     shrinks = len(runs)
     fix_spectrum_flow(leg1.final, cfg)
-    assert shrinks == leg1.meta["pairs"] and len(runs) == shrinks + 1
+    # a pair already on its centers (d = 0) runs no continuation
+    on_centers = sum(cert["legs"] == 0 for cert in leg1.meta["pair_certificates"])
+    assert shrinks + on_centers == leg1.meta["pairs"] and len(runs) == shrinks + 1
     # five-point stencil, exact for the shrink residual (a quartic in t), so
     # a long step keeps the rounding of its small d_t down; the fix leg's
     # polar arcs need a short one

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from critedge.errors import DimensionMismatch, ZeroEigenvalue
-from critedge.spectrum import DeformationSpectrum, weighted_moments
+from critedge.spectrum import DeformationSpectrum, canonical_rows, weighted_moments
 
 POWERS = st.integers(min_value=-3, max_value=3)
 
@@ -107,10 +107,15 @@ def test_canonical_matches_the_loop_reference(k, seed):
     vals[rng.random(k) < 0.3] += 1e-12 * (1 + 1j)
     mult = rng.integers(1, 5, size=k)
     s = DeformationSpectrum(vals, mult, int(mult.sum()))
-    got, want = s.canonical(), canonical_loop(s)
-    assert np.array_equal(got.multiplicities, want.multiplicities)
-    # runs of exact duplicates keep their value bit for bit
-    assert np.array_equal(got.eigenvalues.view(float), want.eigenvalues.view(float))
+    # the spectrum alone and as the first row of a stacked block that shares
+    # its counts: every row is the loop's canonical form of that row
+    block = np.vstack([vals, pool[rng.integers(0, 4, size=(3, k))]])
+    stacked = canonical_rows(block, mult, s.n)
+    for got, row in zip([s.canonical(), *stacked], [vals, *block]):
+        want = canonical_loop(DeformationSpectrum(row, mult, s.n))
+        assert np.array_equal(got.multiplicities, want.multiplicities)
+        # runs of exact duplicates keep their value bit for bit
+        assert np.array_equal(got.eigenvalues.view(float), want.eigenvalues.view(float))
 
 
 @given(
@@ -160,6 +165,23 @@ def test_moments_equal_the_one_pair_expression_bitwise(pairs, zero_shift, seed):
         want = one_pair_moment(values, weights, k, l, shift)
         assert type(value) is type(want)
         assert np.array_equal(np.array([value]).view(float), np.array([want]).view(float))
+
+    # a stacked (S, K) block: every row as its own call, with K crossing
+    # numpy's pairwise-summation block, and a value at the shift in a row
+    rows, size = int(rng.integers(1, 5)), int(rng.integers(1, 300))
+    values = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
+    weights = rng.integers(1, 5, size=(rows, size)) / 10.0
+    if rng.random() < 0.25:
+        values[rng.integers(rows), rng.integers(size)] = shift
+        if min(map(min, pairs)) < 0:
+            with pytest.raises(ZeroEigenvalue):
+                weighted_moments(values, weights, pairs, shift)
+            return
+    got = weighted_moments(values, weights, pairs, shift)
+    for (k, l), block in zip(pairs, got):
+        want = np.array([one_pair_moment(v, w, k, l, shift) for v, w in zip(values, weights)])
+        assert block.shape == (rows,) and block.dtype == want.dtype
+        assert np.array_equal(block.view(float), want.view(float))
 
 
 @given(POWERS, POWERS)
