@@ -142,7 +142,8 @@ def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid):
     ``grid`` (increasing from 0 to 1).  The caller checks the
     admissibility of the centers.  Returns (flow1, flow2, continuation):
     the positions per (grid point, entry), whose last rows sit on the
-    corrected centers, and the certified shift series.
+    corrected centers, and the certified shift series (zero, with no
+    certificate, when every entry already sits on its center).
     """
     v1 = np.asarray(v1, dtype=complex).reshape(-1)
     v2 = np.asarray(v2, dtype=complex).reshape(-1)
@@ -184,7 +185,7 @@ def shrink_clusters(v1, v2, z1: complex, z2: complex, chi: float, grid):
     def d_t(t, w):
         return entry_at(t, w.tobytes()) @ x_dir
 
-    # with every entry on its center F(t, 0) = F(0, 0) = 0 for all t: no chain
+    # with every entry on its center F(t, 0) = F(0, 0) = 0 for all t
     cont = (continue_anchored(residual, jacobian, d_t, grid) if d.any()
             else Continuation(np.zeros((grid.size, 2), dtype=complex), (), 0))
     flows = v + grid[:, None] * d
