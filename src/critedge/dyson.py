@@ -40,11 +40,7 @@ __all__ = [
     "rescaled_cubic_residual",
     "flow_scalings",
     "solve_batch",
-    "BATCH_FIELDS",
 ]
-
-# column order of the batch CSV interface
-BATCH_FIELDS = ("z_re", "z_im", "eta", "v", "residual", "iterations")
 
 EPS = float(np.finfo(float).eps)
 # steps per point of solve_v; from v+ it needs about 5-25
@@ -258,9 +254,9 @@ def solve_batch(spec: DeformationSpectrum, points) -> list[dict]:
     """Solve the scalar equation on a grid of (z, eta) points in one call.
 
     ``points`` is an iterable of mappings with keys z_re, z_im, eta (the
-    JSON batch format); returns one dict per point in BATCH_FIELDS order,
-    with the defect |v - eta - v S(v)| as residual and the solve_v steps
-    as iterations.
+    JSON batch format); returns one dict per point with the keys z_re, z_im,
+    eta, v, residual and iterations in that order, with the defect
+    |v - eta - v S(v)| as residual and the solve_v steps as iterations.
     """
     pts = np.array([(p["z_re"], p["z_im"], p["eta"]) for p in points], dtype=float)
     pts = pts.reshape(-1, 3)

@@ -73,7 +73,13 @@ class SizePreconditionFailed(CritEdgeError):
 
 
 class PairingInfeasible(CritEdgeError):
-    """Matched boxes violate the admissible-region constraints for the trace map."""
+    """A finite-support pairing cannot be built at the current mesh width.
+
+    Raised for a pairing with one empty side, outer classes too small to
+    donate units toward the inner strips, no partition matching for the
+    outer pairing, and matched centers outside the trace map's admissible
+    region.
+    """
 
 
 class DeltaTvExceeded(CritEdgeError):

@@ -11,7 +11,7 @@ from .construct import (
 )
 from .ift import IftCertificate, IftProblem, IftSolution, quantitative_ift
 from .maps import check_z1z2, f_chi_p
-from .partition import PartitionMatching, match_partitions, verify_matching
+from .partition import PartitionMatching, match_partitions
 from .paths import (
     AssumptionReport,
     FlowPath,
@@ -41,5 +41,4 @@ __all__ = [
     "quantitative_ift",
     "shrink_clusters",
     "validate_assumption",
-    "verify_matching",
 ]

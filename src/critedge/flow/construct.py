@@ -68,7 +68,7 @@ from .maps import (
     realify,
     unrealify,
 )
-from .partition import match_partitions, verify_matching
+from .partition import match_partitions
 from .paths import FlowPath, stacked_runs
 
 __all__ = [
@@ -241,23 +241,6 @@ def _mesh_blocks(units: np.ndarray, idx: np.ndarray, h: float):
     return blocks
 
 
-def _match_with_scan(s1, s2, ratio: float):
-    """Find a matcher constant by dyadic descent, auditing each output."""
-    base = 0.9 * min(ratio, 1.0 / ratio)
-    for j in range(12):
-        cm = base * 2.0**-j
-        try:
-            matching = match_partitions(s1, s2, cm)
-        except SizePreconditionFailed:
-            continue
-        if verify_matching(matching, s1, s2, cm):
-            continue
-        return matching, cm
-    raise PairingInfeasible(
-        f"no matcher constant produced a verified refinement (ratio {ratio:.4g})"
-    )
-
-
 def finite_support_flow(
     b: DeformationSpectrum, frak_c: float, cfg: FlowConfig | None = None
 ) -> FlowPath:
@@ -289,7 +272,6 @@ def finite_support_flow(
             MeshTooCoarse,
             NoConvergence,
             PairingInfeasible,
-            SizePreconditionFailed,
         ) as exc:
             attempts.append(f"h={h:.5g}: {type(exc).__name__}: {exc}")
     raise MeshTooCoarse("mesh ladder exhausted: " + " | ".join(attempts))
@@ -352,16 +334,16 @@ def _finite_support_attempt(b, units, chi_re, chi_full, c0, h, frak_c, grid):
             raise PairingInfeasible(f"pairing {name} has one empty side")
         blocks1 = _mesh_blocks(units, side1, h)
         blocks2 = _mesh_blocks(units, side2, h) if inner_blocks is None else inner_blocks
+        ratio = side1.size / side2.size
         try:
-            matching, _ = _match_with_scan(blocks1, blocks2, side1.size / side2.size)
-        except PairingInfeasible:
+            matching = match_partitions(blocks1, blocks2, 0.9 * min(ratio, 1.0 / ratio))
+        except SizePreconditionFailed as exc:
             # the matcher's size floor is out of reach for the thin donor
             # sides at small N; fall back to unit-level donation
             if inner_blocks is None:
                 raise PairingInfeasible(
-                    f"pairing {name}: no matcher constant produced a "
-                    f"verified refinement (sizes {side1.size}/{side2.size})"
-                ) from None
+                    f"pairing {name}: no matching (sizes {side1.size}/{side2.size}): {exc}"
+                ) from exc
             jobs.extend(transfer_jobs(name, side1, inner_blocks))
             continue
         for ref1, ref2 in zip(matching.refined_s1, matching.refined_s2):

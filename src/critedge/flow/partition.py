@@ -15,8 +15,10 @@ a size-comparable bijection: every matched pair has size ratio in
 
 The size preconditions c <= N1/N2 <= 1/c and N1, N2 >= 8 m1 m2 / c
 guarantee the ratio bounds.  They are not checked up front: the
-construction runs on any input and the produced matching is validated
-directly, which also serves small instances outside the preconditions.
+construction runs on any input, which also serves small instances outside
+the preconditions, and raises SizePreconditionFailed when a step becomes
+infeasible or the achieved ratios escape [c/4, 4/c].  The tests audit
+whole matchings brute-force; the library does not.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from ..errors import SizePreconditionFailed
 
-__all__ = ["PartitionMatching", "match_partitions", "verify_matching"]
+__all__ = ["PartitionMatching", "match_partitions"]
 
 
 @dataclass(frozen=True)
@@ -181,37 +183,3 @@ def _match_ordered(blocks1, blocks2, c):
         ratio_min=min(ratios),
         ratio_max=max(ratios),
     )
-
-
-def verify_matching(matching: PartitionMatching, s1, s2, c: float) -> list[str]:
-    """Brute-force audit of a matching; returns a list of violation messages.
-
-    Checks, independently of the construction: both outputs are partitions
-    of the same index sets as the inputs, each refined block lies inside
-    exactly one input block, the two refinements have equal length at most
-    m1 + m2, and every matched pair has size ratio within [c/4, 4/c].
-    """
-    problems = []
-    blocks1 = _normalize(s1)
-    blocks2 = _normalize(s2)
-    for name, inp, out in (("s1", blocks1, matching.refined_s1), ("s2", blocks2, matching.refined_s2)):
-        in_flat = sorted(i for b in inp for i in b)
-        out_flat = sorted(i for b in out for i in b)
-        if in_flat != out_flat:
-            problems.append(f"{name}: refined blocks do not partition the input set")
-        for rb in out:
-            owners = [ib for ib in inp if set(rb) <= set(ib)]
-            if len(owners) != 1:
-                problems.append(f"{name}: block {rb} not inside exactly one input block")
-    if len(matching.refined_s1) != len(matching.refined_s2):
-        problems.append("refinements have different lengths")
-    if len(matching.refined_s1) > len(blocks1) + len(blocks2):
-        problems.append(
-            f"refinement length {len(matching.refined_s1)} exceeds m1+m2 = "
-            f"{len(blocks1) + len(blocks2)}"
-        )
-    for b1, b2 in zip(matching.refined_s1, matching.refined_s2):
-        r = len(b2) / len(b1)
-        if not (c / 4.0 - 1e-12 <= r <= 4.0 / c + 1e-12):
-            problems.append(f"pair ratio {r:.4g} outside [c/4, 4/c]")
-    return problems

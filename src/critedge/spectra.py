@@ -79,13 +79,12 @@ class CorrelationEstimate:
 
 @dataclass(frozen=True)
 class HermitizedOperator:
-    """2N x 2N Hermitization of A + X - z with its base point.
+    """2N x 2N Hermitization of A + X - z.
 
-    Only the off-diagonal block is stored: the 2N eigenvalues of the
-    Hermitization are plus and minus its singular values.
+    Only the off-diagonal block A + X - z is stored: the 2N eigenvalues of
+    the Hermitization are plus and minus its singular values.
     """
 
-    z: complex
     block: np.ndarray
 
     def singular_values(self) -> np.ndarray:
@@ -172,7 +171,7 @@ def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex) -> Hermitize
     block = _as_sample(spec, x).copy()
     idx = np.arange(spec.n)
     block[idx, idx] += spec.expand() - complex(z)
-    return HermitizedOperator(z=complex(z), block=block)
+    return HermitizedOperator(block)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +182,12 @@ BUMP_RADIUS = 2.5
 
 
 def radial_bump(w):
-    """Smooth bump of |w| supported in the disc of radius BUMP_RADIUS;
-    insensitive to the shape parameter at leading order since the
-    quadratic density integrates isotropically against radial weights."""
+    """Smooth bump of |w| supported in the disc of radius BUMP_RADIUS.
+
+    Its mean still moves with the shape parameter alpha at finite n: the
+    k = 1 statistic at n = 400 (60 Ginibre trials per spectrum) read
+    0.48-0.65 at alpha = 0.43 and 0.76-0.78 at alpha = -0.09.
+    """
     w = np.asarray(w, dtype=complex)
     r2 = (np.abs(w) / BUMP_RADIUS) ** 2
     out = np.zeros(w.shape, dtype=float)
@@ -539,7 +541,10 @@ def smallest_sv_tail(
     below eta, with binomial error bars.
 
     Each trial takes one SVD of A + X - z and no eigenvalues.
+    ConditionViolated below one trial: there is no fraction to take.
     """
+    if trials < 1:
+        raise ConditionViolated([f"the tail needs at least one trial, got {trials}"])
     hits = 0
     for j in range(int(trials)):
         x = sample_matrix(model, spec.n, seed0 + j)

@@ -1,12 +1,52 @@
-"""Refinement matching of comparable partitions, audited brute-force."""
+"""Refinement matching of comparable partitions, audited brute-force.
+
+The library trusts match_partitions; the audit lives here, run on
+synthetic partitions and on every matching a finite-support flow uses.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critedge.errors import SizePreconditionFailed
-from critedge.flow import match_partitions, verify_matching
+from critedge.errors import MeshTooCoarse, SizePreconditionFailed
+from critedge.flow import FlowConfig, construct, finite_support_flow, match_partitions
+from critedge.flow.partition import _normalize
+from critedge.synthesis import random_inverse_critical
+
+
+def verify_matching(matching, s1, s2, c: float) -> list[str]:
+    """Brute-force audit of a matching; returns a list of violation messages.
+
+    Checks, independently of the construction: both outputs are partitions
+    of the same index sets as the inputs, each refined block lies inside
+    exactly one input block, the two refinements have equal length at most
+    m1 + m2, and every matched pair has size ratio within [c/4, 4/c].
+    """
+    problems = []
+    blocks1 = _normalize(s1)
+    blocks2 = _normalize(s2)
+    for name, inp, out in (("s1", blocks1, matching.refined_s1), ("s2", blocks2, matching.refined_s2)):
+        in_flat = sorted(i for b in inp for i in b)
+        out_flat = sorted(i for b in out for i in b)
+        if in_flat != out_flat:
+            problems.append(f"{name}: refined blocks do not partition the input set")
+        for rb in out:
+            owners = [ib for ib in inp if set(rb) <= set(ib)]
+            if len(owners) != 1:
+                problems.append(f"{name}: block {rb} not inside exactly one input block")
+    if len(matching.refined_s1) != len(matching.refined_s2):
+        problems.append("refinements have different lengths")
+    if len(matching.refined_s1) > len(blocks1) + len(blocks2):
+        problems.append(
+            f"refinement length {len(matching.refined_s1)} exceeds m1+m2 = "
+            f"{len(blocks1) + len(blocks2)}"
+        )
+    for b1, b2 in zip(matching.refined_s1, matching.refined_s2):
+        r = len(b2) / len(b1)
+        if not (c / 4.0 - 1e-12 <= r <= 4.0 / c + 1e-12):
+            problems.append(f"pair ratio {r:.4g} outside [c/4, 4/c]")
+    return problems
 
 
 def interval_partition(n, m, rng, offset=0):
@@ -102,3 +142,44 @@ def test_overlapping_blocks_rejected():
 def test_empty_block_rejected():
     with pytest.raises(ValueError, match="empty"):
         match_partitions([[0, 1], []], [[0, 1]], c=0.5)
+
+
+@pytest.mark.parametrize(
+    "seed, n, fallback", [(3, 80, ()), (1, 400, ("oi-/i+",))], ids=["n80-synth3", "n400-synth1"]
+)
+def test_finite_support_matchings_pass_audit(monkeypatch, seed, n, fallback):
+    # every matching the leg uses passes the audit and becomes its jobs; an
+    # inner pairing without one (n400 synth 1) donates one unit per job
+    # until its whole inner class is paired
+    matched, failed = [], []
+
+    def audited(s1, s2, c):
+        try:
+            matching = match_partitions(s1, s2, c)
+        except SizePreconditionFailed:
+            failed.append(sum(len(block) for block in s2))
+            raise
+        assert verify_matching(matching, s1, s2, c) == []
+        matched.append(matching)
+        return matching
+
+    monkeypatch.setattr(construct, "match_partitions", audited)
+    b = random_inverse_critical(seed, n=n)
+    certs = finite_support_flow(b, 6.0, FlowConfig(grid_points=17)).meta["pair_certificates"]
+    assert len(failed) == len(fallback)
+    assert matched
+    assert sum(len(m.refined_s1) for m in matched) == sum(
+        c["pairing"] not in fallback for c in certs
+    )
+    for name, inner_units in zip(fallback, failed):
+        sizes = [c["sizes"] for c in certs if c["pairing"] == name]
+        assert all(m1 == 1 for m1, _ in sizes)
+        assert sum(m2 for _, m2 in sizes) == inner_units
+
+
+def test_outer_pairing_without_matching_exhausts_the_ladder():
+    # the outer pairing has no unit-level fallback: every mesh width fails
+    b = random_inverse_critical(6, n=40)
+    with pytest.raises(MeshTooCoarse, match="pairing oo-/oo\\+: no matching") as info:
+        finite_support_flow(b, 6.0, FlowConfig(grid_points=17))
+    assert str(info.value).count("PairingInfeasible") == len(FlowConfig().ladder)

@@ -173,6 +173,8 @@ def test_smallest_sv_tail_limits():
     assert high.probability == 1.0
     assert low.probability == 0.0
     assert high.std_error > 0
+    with pytest.raises(ConditionViolated, match="at least one trial"):
+        smallest_sv_tail(spec, "ginibre", z=0.1, eta=0.05, trials=0)
 
 
 def test_sv_statistics_compute_no_eigenvalues(monkeypatch, local_law_dispersion):
