@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import spectra
-from .criticality import verify_criticality
+from .criticality import DEFAULT_FRAK_C, DEFAULT_TOL, verify_criticality
 from .dyson import ETA_DELTA
 from .errors import ConditionViolated, ConfigError, CritEdgeError, DimensionMismatch, ZeroEigenvalue
 from .flow import (
@@ -49,10 +49,9 @@ class RunConfig:
 
     seed: int = 0
     trials: int = 100
-    frak_c: float = 6.0
-    tol: float = 1e-8
-    h0: float | None = None
-    grid: int = 257
+    frak_c: float = DEFAULT_FRAK_C
+    tol: float = DEFAULT_TOL
+    grid: int = FlowConfig.grid_points
     quad: int = 128
     model: str = "ginibre"
     out: str | None = None
@@ -66,8 +65,6 @@ class RunConfig:
             raise ConfigError(f"frak_c must exceed 1, got {self.frak_c}")
         if self.tol <= 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.h0 is not None and self.h0 <= 0.0:
-            raise ConfigError(f"h0 must be positive, got {self.h0}")
         if self.grid < 2:
             raise ConfigError(f"grid must be at least 2, got {self.grid}")
         if self.quad < 2:
@@ -181,9 +178,9 @@ def cmd_flow(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_DOMAIN
 
     b0, phi = derive_b0(spec)
-    flow_cfg = FlowConfig(grid_points=cfg.grid, h0=cfg.h0)
+    flow_cfg = FlowConfig(grid_points=cfg.grid)
     if b0.is_real():
-        path_b = hermitian_flow(b0, frak_c=cfg.frak_c, grid_points=cfg.grid)
+        path_b = hermitian_flow(b0, frak_c=cfg.frak_c, cfg=flow_cfg)
     else:
         leg1 = finite_support_flow(b0, frak_c=cfg.frak_c, cfg=flow_cfg)
         leg2 = fix_spectrum_flow(leg1.final, cfg=flow_cfg)
@@ -345,7 +342,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 # argparse keywords of the flag of each RunConfig field
 _FLAG_KWARGS = {
     **dict.fromkeys(("seed", "trials", "grid", "quad"), {"type": int}),
-    **dict.fromkeys(("frak_c", "tol", "h0"), {"type": float}),
+    **dict.fromkeys(("frak_c", "tol"), {"type": float}),
     "model": {"choices": spectra.MODELS},
     "out": {"metavar": "PATH"},
 }
@@ -353,7 +350,7 @@ _FLAG_KWARGS = {
 # the RunConfig fields each subcommand reads; any other flag exits with 2
 SUBCOMMAND_FLAGS = {
     "analyze": ("frak_c", "tol", "out"),
-    "flow": ("frak_c", "tol", "h0", "grid", "out"),
+    "flow": ("frak_c", "tol", "grid", "out"),
     "simulate": ("seed", "trials", "quad", "model", "out"),
     "compare": ("out",),
 }
@@ -417,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # what `flow` reads only when it builds a path: --check re-validates a path
 # file and refuses these, as flags or config keys; the build refuses --frak-c1
-_FLOW_BUILD_ONLY = ("spectrum", "grid", "tol", "h0", "out", "report")
+_FLOW_BUILD_ONLY = ("spectrum", "grid", "tol", "out", "report")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -34,6 +34,9 @@ __all__ = [
 #: Relative tolerance used when none is supplied.
 DEFAULT_TOL = 1e-8
 
+#: Bound on the operator norm and inverse norm used when none is supplied.
+DEFAULT_FRAK_C = 6.0
+
 #: Relative eigenvalue gap below which the Hessian counts as rotationally tied.
 TIE_TOL = 1e-9
 
@@ -99,13 +102,19 @@ def scaling_gamma(spec: DeformationSpectrum) -> complex:
     The phase aligns the large Hessian eigendirection with the real axis;
     rotational ties use phase zero.
     """
-    lam1, lam2, theta = _eigs_of_hessian(hessian_at_origin(spec))
+    r, t = spec.moments(((-3, -1), (-2, -2)))
+    return _eigs_and_gamma(hessian_from_traces(r, t), t)[3]
+
+
+def _eigs_and_gamma(h: np.ndarray, t: float) -> tuple[float, float, float, complex]:
+    """(lambda1, lambda2, theta, gamma) of the Hessian h, with T = tr |A|^-4."""
+    lam1, lam2, theta = _eigs_of_hessian(h)
     if lam1 <= 0.0:
         raise DegenerateHessian(f"largest Hessian eigenvalue {lam1:.3e} <= 0")
     tr_h = lam1 + lam2
     if tr_h <= 0.0:
         raise DegenerateHessian(f"Hessian trace {tr_h:.3e} <= 0")
-    return complex(np.sqrt(tr_h) / spec.moment(-2, -2) ** 0.25 * np.exp(1j * theta))
+    return lam1, lam2, theta, complex(np.sqrt(tr_h) / t ** 0.25 * np.exp(1j * theta))
 
 
 def chi(spec: DeformationSpectrum) -> tuple[float, float]:
@@ -177,7 +186,7 @@ class CriticalityReport:
 
 def verify_criticality(
     spec: DeformationSpectrum,
-    frak_c: float = 10.0,
+    frak_c: float = DEFAULT_FRAK_C,
     tol: float = DEFAULT_TOL,
 ) -> CriticalityReport:
     """Check the three criticality conditions and assemble the report.
@@ -188,19 +197,10 @@ def verify_criticality(
     absolute bound on both defects.
     """
     norm_a, norm_a_inv = spec.operator_norms()
-    inv2 = spec.moment(-1, -1)
-    skew = spec.moment(-2, -1)
-
-    h = hessian_at_origin(spec)
-    lam1, lam2, theta = _eigs_of_hessian(h)
-    if lam1 <= 0.0:
-        raise DegenerateHessian(f"largest Hessian eigenvalue {lam1:.3e} <= 0")
-    alpha = lam2 / lam1
-    gamma = scaling_gamma(spec)
+    inv2, skew, r, t = spec.moments(((-1, -1), (-2, -1), (-3, -1), (-2, -2)))
+    h = hessian_from_traces(r, t)
+    lam1, lam2, theta, gamma = _eigs_and_gamma(h, t)
     beta = float(np.sqrt(spec.n) * (1.0 - inv2))
-
-    # chi of the inverse-side spectrum obtained by the inverse-and-rotate map
-    chi_b = abs(spec.moment(-3, -1)) / spec.moment(-2, -2)
 
     critical = (
         norm_a <= frak_c
@@ -215,11 +215,12 @@ def verify_criticality(
         hessian=h,
         lambda1=lam1,
         lambda2=lam2,
-        alpha=alpha,
+        alpha=lam2 / lam1,
         theta=theta,
         gamma=gamma,
         beta=beta,
-        chi=chi_b,
+        # chi of the inverse-side spectrum obtained by the inverse-and-rotate map
+        chi=abs(r) / t,
         norm_a=norm_a,
         norm_a_inv=norm_a_inv,
         is_critical=bool(critical),

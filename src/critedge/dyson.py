@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import hessian_at_origin, _eigs_of_hessian
+from .criticality import _eigs_of_hessian, hessian_at_origin, shape_alpha
 from .errors import InvalidEta, NoConvergence, SingularIterate
 from .spectrum import DeformationSpectrum
 
@@ -82,9 +82,7 @@ class FlowScalings:
     """Rescaling constants attached to one flow time."""
 
     i4: float
-    c_t: float
     gamma_t: complex
-    theta: float
     eta_infinity: float
     eta_t: float
 
@@ -287,23 +285,19 @@ def flow_scalings(spec: DeformationSpectrum) -> FlowScalings:
     """Evaluate the flow rescaling constants for one deformation.
 
     With n = spec.n, ``eta_infinity = n^(-3/4-ETA_DELTA)`` and
-    ``eta_t = eta_infinity / c_t`` with ``c_t = I4^(-1/4)`` and
-    I4 = tr |A|^-4; ``gamma_t = I4^(1/4) e^(i theta)``, its phase aligning
-    the large Hessian eigendirection, matching the scaling factor used for
+    ``eta_t = eta_infinity I4^(1/4)`` with I4 = tr |A|^-4;
+    ``gamma_t = I4^(1/4) e^(i theta)``, its phase theta aligning the large
+    Hessian eigendirection, matching the scaling factor used for
     eigenvalue clouds.
     """
     i4 = spec.moment(-2, -2)
     _, _, theta = _eigs_of_hessian(hessian_at_origin(spec))
-    c_t = i4 ** (-0.25)
-    gamma_t = complex(i4**0.25 * np.exp(1j * theta))
     eta_inf = float(spec.n) ** (-0.75 - ETA_DELTA)
     return FlowScalings(
         i4=float(i4),
-        c_t=float(c_t),
-        gamma_t=gamma_t,
-        theta=float(theta),
+        gamma_t=complex(i4**0.25 * np.exp(1j * theta)),
         eta_infinity=eta_inf,
-        eta_t=float(eta_inf / c_t),
+        eta_t=float(eta_inf / i4 ** (-0.25)),
     )
 
 
@@ -321,8 +315,7 @@ def rescaled_cubic_residual(spec: DeformationSpectrum, w: complex) -> float:
     off by four and the documented O(1/n) bound would fail.
     """
     sc = flow_scalings(spec)
-    lam1, lam2, _ = _eigs_of_hessian(hessian_at_origin(spec))
-    alpha = lam2 / lam1
+    alpha = shape_alpha(hessian_at_origin(spec))
     gamma_density = 2.0 * sc.gamma_t
     z_w = complex(w / (gamma_density * spec.n**0.25))
     sol = solve_v_scalar(spec, z_w, sc.eta_t)

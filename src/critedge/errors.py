@@ -34,18 +34,14 @@ class SingularIterate(CritEdgeError):
 
 
 class ConditionViolated(CritEdgeError):
-    """Admissibility conditions for the two-point trace map failed.
-
-    Carries the list of human-readable condition failures in ``failures``.
+    """A precondition failed: raised by every precondition check, from the
+    flow builders' gate to the estimators and ``compare``, not only for the
+    two-point trace map.  Carries the list of failures in ``failures``.
     """
 
     def __init__(self, failures):
         self.failures = list(failures)
         super().__init__("; ".join(self.failures))
-
-
-class SingularJacobian(CritEdgeError):
-    """Jacobian of the two-point trace map is numerically singular."""
 
 
 class ContractionFailed(CritEdgeError):

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,15 +94,14 @@ COUNT_DENOMINATOR = 40
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Calibration shared by the flow builders.
-
-    ``h0`` defaults to 0.1 / frak_c; the ladder halves it until every
-    matched pair certifies.
-    """
+    """Calibration shared by the flow builders: each samples ``grid_points``
+    equal time steps.  The mesh width of :func:`finite_support_flow` is
+    ``h0`` (by default 0.1 / frak_c) times each factor of the constant
+    ``ladder`` in turn, until every matched pair certifies."""
 
     grid_points: int = 257
     h0: float | None = None
-    ladder: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625)
+    ladder: ClassVar[tuple] = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 # ---------------------------------------------------------------- half plane
@@ -650,19 +650,21 @@ def independent_count_target(b: DeformationSpectrum) -> DeformationSpectrum:
 
 
 def hermitian_flow(
-    b: DeformationSpectrum, frak_c: float, grid_points: int = 257
+    b: DeformationSpectrum, frak_c: float, cfg: FlowConfig | None = None
 ) -> FlowPath:
     """Collapse a real critical spectrum onto {1, -(n+/n-)^(1/3)}.
 
     Positive entries move along the closed form t + (1-t) B_ii; negative
-    entries follow (1-t)(B_ii - g(s_t)) where g transports the positive
+    entries follow (1-t)(B_ii - g(t/(1-t))) where g transports the positive
     third-moment budget across the axis and is inverted by monotone
-    bisection.  Criticality holds at every grid point by construction.
+    bisection.  Of ``cfg`` only grid_points is read.  Criticality holds at
+    every grid point by construction.
     """
     if not b.is_real():
         raise NotReal(
             f"spectrum has imaginary residual {np.max(np.abs(b.eigenvalues.imag)):.3e}"
         )
+    cfg = cfg or FlowConfig()
     x = b.eigenvalues.real
     cnt = b.multiplicities.astype(float)
     n = b.n
@@ -685,8 +687,6 @@ def hermitian_flow(
     kappa = (n_pos / n_neg) ** (1.0 / 3.0)
 
     def g_of(s):
-        if s == 0.0:
-            return 0.0
         target = cube_trace(m_pos, s)
         lo, hi = 0.0, kappa * s + frak_c + 1.0
         while cube_trace(m_neg, hi) < target:
@@ -701,7 +701,7 @@ def hermitian_flow(
                 hi = mid
         return 0.5 * (lo + hi)
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, cfg.grid_points)
     aligned = np.empty((grid.size, x.size), dtype=complex)
     for k, t in enumerate(grid):
         if t == 0.0:

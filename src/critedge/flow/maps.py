@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConditionViolated, SingularJacobian
 from ..spectrum import weighted_moments
 
 __all__ = [
@@ -92,35 +91,23 @@ class PointMapValue(NamedTuple):
     inv_norm: float
 
 
-def f_chi_p(z1: complex, z2: complex, chi: float, p: float,
-            c: float | None = None) -> PointMapValue:
+def f_chi_p(z1: complex, z2: complex, chi: float, p: float) -> PointMapValue:
     """Two-point trace map, its realified Jacobian, and inverse norm.
 
-    With ``c`` given the admissibility conditions are enforced first
-    (ConditionViolated lists every failure) and a singular Jacobian on the
-    admissible set raises SingularJacobian.  Without ``c`` the map is
-    evaluated unconditionally and a singular Jacobian reports inv_norm =
-    inf, which is how degenerate corners (chi = 1 with both points real)
-    are probed.
+    The map is evaluated unconditionally; :func:`check_z1z2` is the
+    admissibility check.  A singular Jacobian reports inv_norm = inf, which
+    is how degenerate corners (chi = 1 with both points real) are probed.
     """
-    if c is not None:
-        failures = check_z1z2(complex(z1), complex(z2), chi, p, c)
-        if failures:
-            raise ConditionViolated(failures)
     jac = pair_jacobian(z1, z2, chi, p)
     try:
         inv_norm = float(np.linalg.norm(np.linalg.inv(jac), 2))
     except np.linalg.LinAlgError:
         inv_norm = np.inf
-    if not np.isfinite(inv_norm) and c is not None:
-        raise SingularJacobian(
-            f"trace-map Jacobian singular at z1={z1}, z2={z2}, chi={chi}, p={p}"
-        )
     return PointMapValue(pair_traces(z1, z2, chi, p), jac, inv_norm)
 
 
 def pair_traces(z1: complex, z2: complex, chi: float, p: float) -> tuple:
-    """The two traces (F1, F2) of :func:`f_chi_p`, without its checks."""
+    """The two traces (F1, F2) of :func:`f_chi_p`, without its Jacobian."""
     z1, z2 = complex(z1), complex(z2)
     q = 1.0 - p
     f1 = p * z1 * z1 * np.conj(z1) + q * z2 * z2 * np.conj(z2)

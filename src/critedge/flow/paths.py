@@ -16,7 +16,7 @@ import numpy as np
 
 from ..criticality import PHASE_FLOOR, hessian_from_traces, shape_alpha
 from ..errors import DimensionMismatch, ResidualExceeded, ZeroEigenvalue
-from ..spectrum import DeformationSpectrum, weighted_moments
+from ..spectrum import DeformationSpectrum, sites_from_json, weighted_moments
 
 __all__ = [
     "FlowPath",
@@ -139,11 +139,7 @@ class FlowPath:
                 try:
                     kind = row["segment_kind"]
                     grid.append(float(row["t"]))
-                    pairs = np.array(row["eigenvalues"])
-                    if pairs.dtype.kind not in "fi" or pairs.ndim != 2 or pairs.shape[1] != 2:
-                        raise ValueError("eigenvalues must be a list of [re, im] number pairs")
-                    vals = pairs.astype(float, copy=False).view(complex)
-                    mult = np.array(row["multiplicities"], dtype=np.int64)
+                    vals, mult = sites_from_json(row["eigenvalues"], row["multiplicities"])
                     n = states[0].n if states else int(mult.sum())
                     states.append(DeformationSpectrum(vals, mult, n))
                     derivs.append(float(row["deriv_max"]))

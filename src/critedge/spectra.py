@@ -292,8 +292,8 @@ HYMAN_RESCALE = 1e100
 class GaussianField:
     """Gaussian bump test field with closed-form Laplacian."""
 
-    center: complex = 0.0
-    sigma: float = 0.5
+    center: complex
+    sigma: float
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
@@ -372,12 +372,7 @@ def _near_spectrum(z: np.ndarray, eigs: np.ndarray, floor: float) -> np.ndarray:
     return near
 
 
-def girko_check(
-    spec: DeformationSpectrum,
-    x: np.ndarray,
-    f,
-    quad_points: int = 128,
-) -> GirkoReport:
+def girko_check(spec: DeformationSpectrum, x: np.ndarray, f, quad_points: int) -> GirkoReport:
     """Both sides of the spectral-average identity for one sample.
 
     lhs is the empirical average of f over the eigenvalues of A + X; rhs is

@@ -72,6 +72,17 @@ def canonical_rows(values, counts, n: int) -> list:
             for v, c, starts in zip(values, counts[order], map(np.flatnonzero, first))]
 
 
+def sites_from_json(pairs, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and counts from a list of [re, im] number pairs and a list
+    of integers; anything else, a fractional count too, raises ValueError."""
+    pairs, counts = np.array(pairs), np.array(counts)
+    if pairs.dtype.kind not in "fi" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("eigenvalues must be a list of [re, im] number pairs")
+    if counts.dtype.kind != "i" or counts.ndim != 1:
+        raise ValueError("multiplicities must be a list of integers")
+    return pairs.astype(float, copy=False).view(complex), counts
+
+
 @dataclass(frozen=True)
 class DeformationSpectrum:
     """Eigenvalues and multiplicities of a normal deformation matrix.
@@ -125,9 +136,10 @@ class DeformationSpectrum:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeformationSpectrum":
         try:
-            n = int(data["n"])
-            ev = np.array([complex(re, im) for re, im in data["eigenvalues"]])
-            mult = np.asarray(data["multiplicities"], dtype=np.int64)
+            n = data["n"]
+            if type(n) is not int:
+                raise ValueError(f"n must be an integer, got {n!r}")
+            ev, mult = sites_from_json(data["eigenvalues"], data["multiplicities"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"malformed spectrum record: {exc}") from exc
         return cls(ev, mult, n)

@@ -8,7 +8,7 @@ import pytest
 
 from critedge import cli
 from critedge.errors import ConfigError
-from critedge.flow import hermitian_flow
+from critedge.flow import FlowConfig, hermitian_flow
 from critedge.spectrum import DeformationSpectrum
 from critedge.synthesis import (
     quartet_deformation,
@@ -83,7 +83,14 @@ def test_missing_file_exits_2(capsys):
     assert cli.main(["analyze", "/nonexistent/spectrum.json"]) == 2
 
 
-@pytest.mark.parametrize("edit", [{"n": None}, {"n": 99}], ids=["no-n", "counts-off-n"])
+@pytest.mark.parametrize("edit", [
+    {"n": None},
+    {"n": 99},
+    # the counts sum to n only when rounded down
+    {"multiplicities": [1.5, 2.5], "n": 3},
+    {"n": "100"},
+    {"n": 100.5},
+], ids=["no-n", "counts-off-n", "fractional-counts", "quoted-n", "fractional-n"])
 def test_analyze_malformed_spectrum_exits_2(pm_file, capsys, edit):
     # exit 1 means "not critical"; a file that holds no spectrum is a usage error
     with open(pm_file) as fh:
@@ -245,7 +252,8 @@ def test_simulate_from_path_endpoint(tmp_path):
 
 def test_flow_check_refuses_states_of_different_n(tmp_path, capsys):
     path_file = tmp_path / "p.jsonl"
-    hermitian_flow(random_real_critical(7, n=10), 6.0, grid_points=3).save_jsonl(path_file)
+    path = hermitian_flow(random_real_critical(7, n=10), 6.0, FlowConfig(grid_points=3))
+    path.save_jsonl(path_file)
     rows = [json.loads(line) for line in path_file.read_text().splitlines()]
     rows[1]["multiplicities"][0] += 2
     path_file.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -272,7 +280,9 @@ BAD_EIGENVALUES = {
     [{"t": 0.0, "eigenvalues": [[1.0, 0.0]], "multiplicities": [4]}],  # no residuals, no kinds
     *([{**GOOD_ROW, "t": 0.0, "segment_kind": None, "eigenvalues": bad}, GOOD_ROW]
       for bad in BAD_EIGENVALUES.values()),
-], ids=["missing-fields", *BAD_EIGENVALUES])
+    *([{**GOOD_ROW, "t": 0.0, "segment_kind": None, "multiplicities": bad}, GOOD_ROW]
+      for bad in ([4.5], ["4"])),
+], ids=["missing-fields", *BAD_EIGENVALUES, "fractional-count", "quoted-count"])
 @pytest.mark.parametrize("command", [["flow", "--check"], ["simulate"]])
 def test_malformed_path_file_exits_2(tmp_path, capsys, command, rows):
     path_file = tmp_path / "path.jsonl"
@@ -382,11 +392,12 @@ def test_config_range_validation(pm_file, capsys):
     [
         (["analyze", "SPEC"], {"trials": 5, "grid": 9, "model": "iid-custom"},
          "analyze does not read config keys: grid, model, trials"),
-        (["flow", "--check", "PATH"], {"out": "OUT", "grid": 65, "h0": 5},
-         "flow --check does not read config keys: grid, h0, out"),
+        (["flow", "--check", "PATH"], {"out": "OUT", "grid": 65},
+         "flow --check does not read config keys: grid, out"),
         (["compare", "SUMMARY", "SUMMARY"], {"seed": 1}, "compare does not read config keys: seed"),
+        (["flow", "SPEC"], {"h0": 5}, "unknown config keys: h0"),
     ],
-    ids=["analyze", "flow-check", "compare"],
+    ids=["analyze", "flow-check", "compare", "flow-h0"],
 )
 def test_config_key_the_subcommand_does_not_read_exits_2(
     pm_file, tmp_path, argv, keys, message, capsys
@@ -419,9 +430,9 @@ def test_runconfig_serialize_roundtrip(tmp_path):
         (["simulate", "SPEC", "--frak-c", "6"], "unrecognized arguments"),
         (["compare", "SPEC", "SPEC", "--seed", "1"], "unrecognized arguments"),
         (
-            ["flow", "--check", "PATH", "--grid", "65", "--tol", "1e-3", "--h0", "5",
+            ["flow", "--check", "PATH", "--grid", "65", "--tol", "1e-3",
              "--out", "OUT", "--report", "REPORT"],
-            "flow --check does not read --grid, --tol, --h0, --out, --report",
+            "flow --check does not read --grid, --tol, --out, --report",
         ),
         (["flow", "SPEC", "--check", "PATH"], "flow --check does not read spectrum"),
         (["flow", "SPEC", "--frak-c1", "0.5"], "flow without --check does not read --frak-c1"),
@@ -429,10 +440,11 @@ def test_runconfig_serialize_roundtrip(tmp_path):
         (["simulate", "SPEC", "--statistic", "radius", "--n", "64"], "unrecognized arguments"),
         (["simulate", "SPEC", "--statistic", "sv-tail", "--delta", "0.1"],
          "unrecognized arguments"),
+        (["flow", "SPEC", "--h0", "5"], "unrecognized arguments"),
     ],
     ids=["analyze-grid", "flow-trials", "simulate-frak-c", "compare-seed",
          "flow-check-build-flags", "flow-check-spectrum", "flow-build-frak-c1",
-         "flow-check-frak-c-small", "simulate-n", "simulate-delta"],
+         "flow-check-frak-c-small", "simulate-n", "simulate-delta", "flow-h0"],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(pm_file, tmp_path, argv, message, capsys):
     names = {"SPEC": pm_file, "PATH": str(tmp_path / "p.jsonl"),

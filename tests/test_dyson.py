@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critedge.criticality import verify_criticality
 from critedge.dyson import (
     cubic_residual,
     flow_scalings,
@@ -147,10 +148,10 @@ def test_cubic_residual_scaling(pm_spectrum):
 def test_flow_scalings_identities():
     spec = quartet_deformation(0.5, 400)
     sc = flow_scalings(spec)
-    assert sc.eta_t == pytest.approx(sc.eta_infinity / sc.c_t, rel=1e-14)
-    assert sc.c_t == pytest.approx(sc.i4 ** (-0.25), rel=1e-14)
+    assert sc.eta_t == pytest.approx(sc.eta_infinity * sc.i4**0.25, rel=1e-14)
     assert abs(abs(sc.gamma_t) - sc.i4**0.25) <= 1e-14
-    assert np.angle(sc.gamma_t) == pytest.approx(sc.theta, abs=1e-12)
+    # arg gamma_t is the angle theta of the large Hessian eigendirection
+    assert np.angle(sc.gamma_t) == pytest.approx(verify_criticality(spec).theta, abs=1e-12)
 
 
 def test_rescaled_cubic_law_small():

@@ -448,7 +448,8 @@ def test_path_jsonl_roundtrip_and_concat():
 
 def test_path_jsonl_without_segment_kinds_is_refused(tmp_path):
     fn = tmp_path / "path.jsonl"
-    hermitian_flow(random_real_critical(7, n=80), 6.0, grid_points=5).save_jsonl(fn)
+    path = hermitian_flow(random_real_critical(7, n=80), 6.0, FlowConfig(grid_points=5))
+    path.save_jsonl(fn)
     rows = [json.loads(line) for line in fn.read_text().splitlines()]
     for row in rows:
         row.pop("segment_kind")
@@ -482,7 +483,8 @@ def unknown_kind(rows):
 )
 def test_path_jsonl_is_read_strictly(tmp_path, corrupt):
     fn = tmp_path / "path.jsonl"
-    hermitian_flow(random_real_critical(7, n=80), 6.0, grid_points=5).save_jsonl(fn)
+    path = hermitian_flow(random_real_critical(7, n=80), 6.0, FlowConfig(grid_points=5))
+    path.save_jsonl(fn)
     rows = [json.loads(line) for line in fn.read_text().splitlines()]
     corrupt(rows)
     fn.write_text("".join(json.dumps(row) + "\n" for row in rows))

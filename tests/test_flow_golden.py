@@ -5,7 +5,7 @@
 * ``random_inverse_critical(seed, n=80)`` for seed 0 and 3, run through
   ``finite_support_flow(b, 6.0)`` -> ``independent_count_target`` ->
   ``fix_spectrum_flow``, all with ``FlowConfig(grid_points=65)``;
-* ``hermitian_flow(random_real_critical(7, n=80), 6.0, grid_points=65)``;
+* ``hermitian_flow(random_real_critical(7, n=80), 6.0, FlowConfig(grid_points=65))``;
 * ``random_inverse_critical(seed)`` for seed 0, 1, 3 and 6.
 
 The ``finite_support3``, ``fix3`` and ``count_target3`` keys were
@@ -76,7 +76,7 @@ def test_inverse_side_pipeline_matches_golden(golden, seed):
 
 
 def test_hermitian_flow_matches_golden(golden):
-    path = hermitian_flow(random_real_critical(7, n=80), 6.0, grid_points=65)
+    path = hermitian_flow(random_real_critical(7, n=80), 6.0, FlowConfig(grid_points=65))
     assert_path(golden, "hermitian7", path)
 
 
