@@ -39,6 +39,10 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
+# the value types a RunConfig field of each annotation takes
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters of all subcommands.
@@ -57,6 +61,11 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a bool is an int to Python, but never a count, a seed or a scale
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if not 0 <= self.seed < 2**63:
             raise ConfigError("seed must fit in a signed 64-bit integer")
         if self.trials < 1:

@@ -290,8 +290,13 @@ def flow_scalings(spec: DeformationSpectrum) -> FlowScalings:
     Hessian eigendirection, matching the scaling factor used for
     eigenvalue clouds.
     """
+    return _scalings(spec, hessian_at_origin(spec))
+
+
+def _scalings(spec: DeformationSpectrum, hessian: np.ndarray) -> FlowScalings:
+    """flow_scalings with the Hessian at the origin already built."""
     i4 = spec.moment(-2, -2)
-    _, _, theta = _eigs_of_hessian(hessian_at_origin(spec))
+    _, _, theta = _eigs_of_hessian(hessian)
     eta_inf = float(spec.n) ** (-0.75 - ETA_DELTA)
     return FlowScalings(
         i4=float(i4),
@@ -314,8 +319,9 @@ def rescaled_cubic_residual(spec: DeformationSpectrum, w: complex) -> float:
     modulus); with the flow factor alone the quadratic coefficient would be
     off by four and the documented O(1/n) bound would fail.
     """
-    sc = flow_scalings(spec)
-    alpha = shape_alpha(hessian_at_origin(spec))
+    hessian = hessian_at_origin(spec)
+    sc = _scalings(spec, hessian)
+    alpha = shape_alpha(hessian)
     gamma_density = 2.0 * sc.gamma_t
     z_w = complex(w / (gamma_density * spec.n**0.25))
     sol = solve_v_scalar(spec, z_w, sc.eta_t)

@@ -4,6 +4,11 @@ Samples i.i.d. and Ginibre ensembles, computes eigenvalue clouds and
 singular values of deformed matrices, checks the Girko identity, and
 evaluates the regularized log-determinant statistic against its
 deterministic counterpart from the Dyson module.
+
+Statistics compute only what they read: a named test function takes the
+eigenvalues in its support by shift-invert Arnoldi, and the smallest
+singular value tail decides sigma_min < eta by Cholesky factorisations of
+the Gram matrix that the log-det statistic also builds.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ class CorrelationEstimate:
     n: int
     gamma: complex
     per_trial: np.ndarray = field(repr=False, default=None)
+    fallbacks: int = 0  # trials whose Arnoldi guard failed: they took eigvals
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,7 @@ class TailEstimate:
     std_error: float
     trials: int
     eta: float
+    svds: int = 0  # trials decided within the Gram rounding band, by an SVD
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +184,16 @@ def hermitize(spec: DeformationSpectrum, x: np.ndarray, z: complex) -> Hermitize
 # ---------------------------------------------------------------------------
 # correlation statistics
 
-# support radius of the named test functions, in the rescaled frame
+# support radius of the named test functions in the rescaled frame: in the
+# original frame |z| < R = BUMP_RADIUS / (N^(1/4) |gamma|), which holds 1-5
+# eigenvalues of a critical A + X (see estimate_statistic)
 BUMP_RADIUS = 2.5
+# shift-invert Arnoldi steps (Saad, Numerical Methods for Large Eigenvalue
+# Problems, 2nd ed., SIAM 2011, ch. 6-7), the residual bound of a converged
+# Ritz value over ||Y||_F, and the guarded disc (1 + KRYLOV_MARGIN) R
+KRYLOV_DIM = 80
+KRYLOV_TOL = 1e-13
+KRYLOV_MARGIN = 0.25
 
 
 def radial_bump(w):
@@ -210,16 +225,37 @@ _NAMED_TEST_FUNCTIONS = {
 }
 
 
-def _statistic_one_trial(spec, model, k, test_function, gamma, seed):
-    x = sample_matrix(model, spec.n, seed)
-    w = rescale(deformed_eigenvalues(spec, x), spec.n, gamma)
-    if k == 1:
-        return float(np.sum(np.asarray(test_function(w), dtype=float)))
-    # distinct ordered k-tuples; only small k is practical here
-    total = 0.0
-    for tup in permutations(range(w.size), k):
-        total += float(test_function(*(w[i] for i in tup)))
-    return total
+def _local_eigenvalues(spec, x, radius, seed) -> np.ndarray | None:
+    """The eigenvalues of Y = A + X in |z| < (1 + KRYLOV_MARGIN) radius, or
+    None where the guard of estimate_statistic fails.  Overwrites x with Y."""
+    n, m = spec.n, KRYLOV_DIM
+    x.flat[:: n + 1] += spec.expand()
+    y_inv = np.linalg.inv(x)
+    rng = np.random.default_rng((int(seed), len(MODELS)))
+    basis = np.empty((m + 1, n), dtype=complex)
+    h = np.zeros((m + 1, m), dtype=complex)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis[0] = v / np.linalg.norm(v)
+    for j in range(m):
+        v = y_inv @ basis[j]
+        for _ in range(2):  # classical Gram-Schmidt, repeated once
+            c = (basis[: j + 1] @ v.conj()).conj()
+            v -= c @ basis[: j + 1]
+            h[: j + 1, j] += c
+        h[j + 1, j] = np.linalg.norm(v)
+        basis[j + 1] = v / h[j + 1, j]
+    theta, s = np.linalg.eig(h[:m])
+    lam = 1.0 / theta
+    inside = int(np.sum(np.abs(lam) < (1.0 + KRYLOV_MARGIN) * radius))
+    keep = np.argsort(np.abs(lam))[: inside + 1]  # and the nearest one beyond
+    lam, u = lam[keep], basis[:m].T @ s[:, keep]
+    u /= np.linalg.norm(u, axis=0)
+    tol = KRYLOV_TOL * float(np.linalg.norm(x))
+    i, j = np.triu_indices(inside, 1)
+    if (inside == m or np.max(np.linalg.norm(x @ u - u * lam, axis=0)) > tol
+            or np.any(np.abs(lam[i] - lam[j]) <= tol)):
+        return None
+    return lam[:inside]
 
 
 def mean_std_error(samples) -> tuple[float, float]:
@@ -247,8 +283,18 @@ def estimate_statistic(
 
     Eigenvalues are rescaled by N^(1/4) gamma(A) before evaluation.  Trial j
     uses seed0 + j, so the estimate is reproducible and extendable.
+
+    A named test function at k = 1 and N > 2 KRYLOV_DIM reads only the
+    eigenvalues in its support |z| < R (see BUMP_RADIUS), the Ritz values
+    lam = 1/theta of KRYLOV_DIM Arnoldi steps on inv(Y) from a start drawn
+    from the trial's seed.  Every lam in |z| < (1 + KRYLOV_MARGIN) R and the
+    nearest one beyond need ||Y u - lam u|| <= KRYLOV_TOL ||Y||_F, and those
+    in the disc must lie farther apart than that bound; otherwise the trial
+    takes all eigenvalues with eigvals, and ``fallbacks`` counts it.  A
+    custom callable declares no support: it, k > 1 and smaller N use eigvals.
     """
-    if isinstance(test_function, str):
+    named = isinstance(test_function, str)
+    if named:
         fn_id = test_function
         test_function = _NAMED_TEST_FUNCTIONS[test_function]
     else:
@@ -256,10 +302,24 @@ def estimate_statistic(
     if k < 1:
         raise ConditionViolated([f"tuple order must be positive, got {k}"])
     gamma = scaling_gamma(spec)
-    seeds = range(int(seed0), int(seed0) + int(trials))
-    per_trial = np.array(
-        [_statistic_one_trial(spec, model, k, test_function, gamma, s) for s in seeds]
-    )
+    radius = None
+    if named and k == 1 and spec.n > 2 * KRYLOV_DIM:
+        radius = BUMP_RADIUS / (float(spec.n) ** 0.25 * abs(gamma))
+    per_trial, fallbacks = [], 0
+    for seed in range(int(seed0), int(seed0) + int(trials)):
+        eigs = None
+        if radius is not None:
+            eigs = _local_eigenvalues(spec, sample_matrix(model, spec.n, seed), radius, seed)
+            fallbacks += eigs is None
+        if eigs is None:
+            eigs = deformed_eigenvalues(spec, sample_matrix(model, spec.n, seed))
+        w = rescale(eigs, spec.n, gamma)
+        if k == 1:
+            per_trial.append(float(np.sum(np.asarray(test_function(w), dtype=float))))
+        else:  # distinct ordered k-tuples; only small k is practical here
+            tuples = permutations(range(w.size), k)
+            per_trial.append(sum((float(test_function(*(w[i] for i in t))) for t in tuples), 0.0))
+    per_trial = np.array(per_trial)
     value, std_error = mean_std_error(per_trial)
     return CorrelationEstimate(
         k=int(k),
@@ -270,6 +330,7 @@ def estimate_statistic(
         n=spec.n,
         gamma=complex(gamma),
         per_trial=per_trial,
+        fallbacks=fallbacks,
     )
 
 
@@ -437,17 +498,11 @@ def girko_check(spec: DeformationSpectrum, x: np.ndarray, f, quad_points: int) -
 # log-determinant statistic
 
 
-def _shifted_log_dets(x: np.ndarray, d: np.ndarray, shifts) -> list[float]:
-    """log det(Y*Y + s I) for each s of shifts, with Y = X + diag(d).
-
-    The Gram matrix G = Y*Y is built in row blocks straight from X and d,
+def _gram(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """G = Y*Y with Y = X + diag(d), built in row blocks straight from X and d,
     G[lo:hi] = (X[:, lo:hi]* + diag(conj d)[lo:hi]) (X + diag(d)), so no copy
     of Y is made; each block computes its columns from lo on, and the
-    blocks below the diagonal are mirrored from those above it.  Each
-    shift is written onto the saved diagonal of G, never added to the
-    previous one, and slogdet factors a copy of G.  Raises
-    ConditionViolated for a shift at or below the rounding floor of G,
-    N eps max G_ii, or a factorisation whose sign is not +1.
+    blocks below the diagonal are mirrored from those above it.
     """
     n = x.shape[0]
     gram = np.empty((n, n), dtype=complex)
@@ -459,23 +514,7 @@ def _shifted_log_dets(x: np.ndarray, d: np.ndarray, shifts) -> list[float]:
         np.matmul(ybh, x[:, lo:], out=gram[lo:hi, lo:])
         gram[lo:hi, lo:] += np.multiply(ybh[:, lo:], d[lo:], out=ybh[:, lo:])
         np.conjugate(gram[lo:hi, hi:].T, out=gram[hi:, lo:hi])
-    diag = gram.diagonal().real.copy()
-    floor = n * np.finfo(float).eps * float(np.max(diag))
-    out = []
-    for s in shifts:
-        if s <= floor:
-            raise ConditionViolated([
-                f"shift {s:.3e} is at or below the rounding floor {floor:.3e} "
-                "of the Gram matrix"
-            ])
-        np.fill_diagonal(gram, diag + s)
-        sign, log_det = np.linalg.slogdet(gram)
-        if abs(sign - 1.0) > _SIGN_TOL:
-            raise ConditionViolated([
-                f"Gram matrix shifted by {s:.3e} factors with sign {sign:.6g}, not +1"
-            ])
-        out.append(float(log_det))
-    return out
+    return gram
 
 
 def log_det_statistic(
@@ -493,24 +532,42 @@ def log_det_statistic(
     The random half has a closed form: with Y = A + X - z and its singular
     values s_j, the integral of sum_j 2 eta / (s_j^2 + eta^2) is
     log det(Y*Y + E^2) - log det(Y*Y + eta_t^2), two log-determinants of one
-    Gram matrix, so no singular value is computed.  The deterministic half,
+    Gram matrix G (see _gram), so no singular value is computed.  Each shift
+    is written onto the saved diagonal of G, never added to the previous
+    one, and slogdet factors a copy of G.  The deterministic half,
     2N times the integral of Im<M>, runs on log-spaced Gauss-Legendre
     panels with Im<M> from one solve_v call over all nodes.  Both halves
     stop at E and their 1/eta leading terms cancel, so the truncation costs
     O(1/E^2).
 
     Raises DimensionMismatch for an X that is not N x N, ConditionViolated
-    for eta_t <= 0 or for eta_t^2 that the Gram matrix cannot resolve (see
-    _shifted_log_dets).
+    for eta_t <= 0, for a shift at or below the rounding floor of G,
+    N eps max G_ii, or for a factorisation whose sign is not +1.
     """
     x = _as_sample(spec_t, x)
     if scalings.eta_t <= 0.0:
         raise ConditionViolated(["regularization scale eta_t must be positive"])
     n = spec_t.n
     z_w = complex(w) / (scalings.gamma_t * float(n) ** 0.25)
-    log_det_lo, log_det_hi = _shifted_log_dets(
-        x, spec_t.expand() - z_w, (scalings.eta_t**2, ETA_UPPER**2)
-    )
+    gram = _gram(x, spec_t.expand() - z_w)
+    diag = gram.diagonal().real.copy()
+    floor = n * np.finfo(float).eps * float(np.max(diag))
+    log_dets = []
+    for s in (scalings.eta_t**2, ETA_UPPER**2):
+        if s <= floor:
+            raise ConditionViolated([
+                f"shift {s:.3e} is at or below the rounding floor {floor:.3e} "
+                "of the Gram matrix"
+            ])
+        np.fill_diagonal(gram, diag + s)
+        sign, log_det = np.linalg.slogdet(gram)
+        if abs(sign - 1.0) > _SIGN_TOL:
+            raise ConditionViolated([
+                f"Gram matrix shifted by {s:.3e} factors with sign {sign:.6g}, not +1"
+            ])
+        log_dets.append(float(log_det))
+    del gram  # before the Dyson solve allocates its own N-wide arrays
+    log_det_lo, log_det_hi = log_dets
     edges = np.geomspace(scalings.eta_t, ETA_UPPER, PANELS + 1)
     nodes, weights = leggauss(PANEL_NODES)
     mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
@@ -524,6 +581,21 @@ def log_det_statistic(
 # smallest singular value and local-law gates
 
 
+def _sv_below(gram: np.ndarray, eta: float) -> bool | None:
+    """Whether sigma_min(Y) < eta, from G = Y*Y, or None within the band;
+    the shifts of smallest_sv_tail are written onto the diagonal of gram."""
+    diag = gram.diagonal().real.copy()
+    band = gram.shape[0] * np.finfo(float).eps * float(np.linalg.norm(gram))
+    for shift in (eta**2 + band, eta**2 - band):
+        np.fill_diagonal(gram, diag - shift)
+        try:
+            np.linalg.cholesky(gram)
+            return None if shift < eta**2 else False
+        except np.linalg.LinAlgError:
+            pass
+    return True
+
+
 def smallest_sv_tail(
     spec: DeformationSpectrum,
     model: str,
@@ -535,16 +607,22 @@ def smallest_sv_tail(
     """Fraction of trials whose smallest singular value of A + X - z falls
     below eta, with binomial error bars.
 
-    Each trial takes one SVD of A + X - z and no eigenvalues.
+    A trial builds G = Y*Y of Y = A + X - z, and with the band
+    delta = N eps ||G||_F it is a miss if G - (eta^2 + delta) I has a
+    Cholesky factor and a hit if G - (eta^2 - delta) I has none.  Otherwise
+    it redraws its sample and takes the SVD of Y, and ``svds`` counts it.
     ConditionViolated below one trial: there is no fraction to take.
     """
     if trials < 1:
         raise ConditionViolated([f"the tail needs at least one trial, got {trials}"])
-    hits = 0
-    for j in range(int(trials)):
-        x = sample_matrix(model, spec.n, seed0 + j)
-        if float(hermitize(spec, x, z).singular_values()[0]) < eta:
-            hits += 1
+    d = spec.expand() - complex(z)
+    hits = svds = 0
+    for seed in range(int(seed0), int(seed0) + int(trials)):
+        hit = _sv_below(_gram(sample_matrix(model, spec.n, seed), d), eta)
+        if hit is None:
+            svds += 1
+            hit = hermitize(spec, sample_matrix(model, spec.n, seed), z).singular_values()[0] < eta
+        hits += bool(hit)
     p = hits / trials
     err = float(np.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials))
-    return TailEstimate(probability=p, std_error=err, trials=int(trials), eta=float(eta))
+    return TailEstimate(probability=p, std_error=err, trials=int(trials), eta=float(eta), svds=svds)

@@ -414,6 +414,25 @@ def test_config_key_the_subcommand_does_not_read_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["flow", "SPEC"], "grid", 9.5),
+        (["simulate", "SPEC", "--statistic", "radius"], "trials", 2.5),
+        (["simulate", "SPEC", "--statistic", "radius"], "seed", True),
+        (["analyze", "SPEC"], "frak_c", "7"),
+    ],
+    ids=["flow-grid-float", "simulate-trials-float", "simulate-seed-bool", "analyze-frak-c-str"],
+)
+def test_config_value_of_the_wrong_type_exits_2(pm_file, tmp_path, argv, key, value, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    argv = [pm_file if a == "SPEC" else a for a in argv]
+    assert cli.main([*argv, "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and f"got {value!r}" in err
+
+
 def test_runconfig_serialize_roundtrip(tmp_path):
     cfg = cli.RunConfig(trials=9, seed=4, model="iid-custom")
     cfg_file = tmp_path / "c.json"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from critedge import cli, spectra
-from critedge.criticality import verify_criticality
+from critedge.criticality import scaling_gamma, verify_criticality
 from critedge.dyson import flow_scalings
 from critedge.errors import (
     ConditionViolated,
@@ -159,6 +159,83 @@ def test_estimate_statistic_custom_callable_and_k2():
     assert est2.value == pytest.approx(32.0 * 31.0)  # ordered distinct pairs
 
 
+def bump_sums_by_eigvals(spec, model, seeds):
+    """Per-trial sums of both named bumps over all eigenvalues of A + X."""
+    gamma = scaling_gamma(spec)
+    out = []
+    for seed in seeds:
+        w = rescale(deformed_eigenvalues(spec, sample_matrix(model, spec.n, seed)), spec.n, gamma)
+        out.append([float(np.sum(f(w))) for f in (radial_bump, anisotropic_bump)])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model, synth", [("ginibre", 0), ("iid-bernoulli-like", 3)])
+def test_arnoldi_bump_sums_match_the_eigvals_route(model, synth):
+    # 25 draws per model at N = 200 > 2 KRYLOV_DIM; the named bumps vanish
+    # beyond the support radius R, so the eigenvalues in the guarded disc
+    # give the whole sum
+    n, seeds = 200, range(25)
+    spec = random_deformation_critical(synth, n=n)
+    gamma = scaling_gamma(spec)
+    radius = spectra.BUMP_RADIUS / (n**0.25 * abs(gamma))
+    local = []
+    for seed in seeds:
+        eigs = spectra._local_eigenvalues(spec, sample_matrix(model, n, seed), radius, seed)
+        assert eigs is not None and eigs.size < 20
+        w = rescale(eigs, n, gamma)
+        local.append([float(np.sum(f(w))) for f in (radial_bump, anisotropic_bump)])
+    assert np.max(np.abs(np.array(local) - bump_sums_by_eigvals(spec, model, seeds))) <= 1e-12
+
+
+def test_correlation_fallback_is_the_eigvals_route_bit_for_bit(monkeypatch):
+    # two Arnoldi steps converge no Ritz value beyond the disc
+    monkeypatch.setattr(spectra, "KRYLOV_DIM", 2)
+    spec = random_deformation_critical(0, n=200)
+    est = estimate_statistic(spec, "ginibre", 1, "anisotropic-bump", trials=2, seed0=5)
+    assert est.fallbacks == 2
+    assert est.per_trial.tobytes() == bump_sums_by_eigvals(spec, "ginibre", range(5, 7))[:, 1].tobytes()
+
+
+def test_custom_callable_and_small_n_keep_eigvals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Arnoldi kernel ran")
+
+    monkeypatch.setattr(spectra, "_local_eigenvalues", refuse)
+    spec = random_deformation_critical(0, n=200)
+    assert estimate_statistic(spec, "ginibre", 1, radial_bump, trials=2).fallbacks == 0
+    small = random_deformation_critical(0, n=2 * spectra.KRYLOV_DIM)
+    assert estimate_statistic(small, "ginibre", 1, "radial-bump", trials=2).fallbacks == 0
+
+
+def test_named_bump_correlation_computes_no_full_spectrum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("all eigenvalues computed")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    spec = random_deformation_critical(0, n=400)
+    est = estimate_statistic(spec, "ginibre", 1, "radial-bump", trials=2, seed0=3)
+    assert est.fallbacks == 0 and np.all(np.isfinite(est.per_trial))
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_kernels_memory_budget():
+    # the sample, Y in its place and inv(Y), or the Gram matrix and its
+    # Cholesky factor: under three N x N complex matrices per trial
+    n = 400
+    spec = random_deformation_critical(0, n=n)
+    corr = traced_peak(lambda: estimate_statistic(spec, "ginibre", 1, "radial-bump", trials=2))
+    tail = traced_peak(lambda: smallest_sv_tail(spec, "ginibre", 0.0, n**-0.8, trials=1))
+    assert max(corr, tail) <= 3 * n * n * 16, (corr, tail)
+
+
 def test_local_law_dispersion_shrinks_with_eta(local_law_dispersion):
     spec = quartet_deformation(0.5, n=64)
     rough = local_law_dispersion(spec, "ginibre", eta=0.05, trials=12, z=0.1)
@@ -185,6 +262,32 @@ def test_sv_statistics_compute_no_eigenvalues(monkeypatch, local_law_dispersion)
     spec = quartet_deformation(0.5, n=32)
     assert 0.0 <= smallest_sv_tail(spec, "ginibre", z=0.1, eta=0.05, trials=3).probability <= 1.0
     assert np.isfinite(local_law_dispersion(spec, "ginibre", eta=0.1, trials=3, z=0.1))
+
+
+def test_sv_tail_cholesky_count_is_the_svd_count():
+    n, trials = 40, 200
+    spec = random_deformation_critical(0, n=n)
+    smallest = np.array([
+        hermitize(spec, sample_matrix("ginibre", n, j), 0.0).singular_values()[0]
+        for j in range(trials)
+    ])
+    counts = []
+    for scale in (0.5, 1.0, 2.0):
+        eta = scale * n**-0.75
+        est = smallest_sv_tail(spec, "ginibre", z=0.0, eta=eta, trials=trials)
+        counts.append(round(est.probability * trials))
+        assert counts[-1] == int(np.sum(smallest < eta)) and est.svds == 0
+    assert 0 < counts[0] < counts[-1] < trials
+
+
+def test_sv_tail_outside_the_band_takes_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular values computed")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    spec = random_deformation_critical(0, n=400)
+    est = smallest_sv_tail(spec, "ginibre", z=0.0, eta=400**-0.8, trials=3, seed0=17)
+    assert est.svds == 0 and 0.0 <= est.probability <= 1.0
 
 
 def test_sv_tail_cli_output_is_the_direct_svd_count(tmp_path):
